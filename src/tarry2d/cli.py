@@ -356,6 +356,8 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -12,13 +12,12 @@ dyadic series whose exponent sign decides divergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .poly import (
     PolySpec,
-    alpha_inverse,
     beta_to_alpha,
     monomial_count,
     monomial_indices,

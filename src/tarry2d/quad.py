@@ -14,11 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import PolySpec
+from .parallel import map_blocks
+from .poly import PolySpec, monomial_indices
 
 PHASE_CYCLES_PER_PANEL = 0.5
 ORDER_HIGH = 12
 ORDER_LOW = 8
+# Nodes per batch_osc_m1 task: its three float64 work arrays stay in a 2 MB L2.
+CHUNK_NODES = 1 << 16
 
 _G12, _W12 = np.polynomial.legendre.leggauss(ORDER_HIGH)
 _G8, _W8 = np.polynomial.legendre.leggauss(ORDER_LOW)
@@ -130,46 +133,65 @@ def osc_integral(F: PolySpec, tol: float = 1e-8, max_evals: int = 2**26) -> Quad
         M *= 2
 
 
-def batch_osc_m1(n: int, coeff_rows: np.ndarray, node_budget: int = 4_000_000):
+def batch_osc_m1(n: int, coeff_rows: np.ndarray, workers: int = 1):
     """J values for a batch of coefficient vectors of (n, 1)-degree phases.
 
     coeff_rows has shape (S, N) in the graded index order.  The inner y
     integral is closed in elementary form; the remaining x integral uses a
-    composite Gauss-Legendre rule sized from the worst phase variation in the
-    batch.  Deterministic; no error estimate (panel count is conservative).
-    """
-    from .poly import monomial_indices
+    composite Gauss-Legendre rule sized from the worst phase variation in
+    each group of rows with similar variation.  Deterministic; no error
+    estimate (panel count is conservative).
 
+    Each group is cut into chunks of about CHUNK_NODES quadrature nodes, and
+    the chunks run on up to `workers` threads.  The cut depends only on the
+    rows, so every value is bitwise independent of `workers`.
+    """
     rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
     idx = monomial_indices(n, 1)
     a_cols = [c for c, (i, j) in enumerate(idx) if j == 0]
     b_cols = [c for c, (i, j) in enumerate(idx) if j == 1]
     a_pows = np.array([idx[c][0] for c in a_cols])
     b_pows = np.array([idx[c][0] for c in b_cols])
+    rows_a = rows[:, a_cols]
+    rows_b = rows[:, b_cols]
 
-    out = np.empty(rows.shape[0], dtype=complex)
-    weights_deg = np.concatenate([a_pows, b_pows])
-    V_all = np.abs(rows[:, a_cols + b_cols]) @ weights_deg
+    V_all = np.abs(rows[:, a_cols + b_cols]) @ np.concatenate([a_pows, b_pows])
     order = np.argsort(V_all, kind="stable")
+    V_sorted = V_all[order]
+    tasks = []
     pos = 0
     while pos < order.size:
         # group samples of similar phase variation so panel counts stay tight
-        take = order[pos]
-        V_lo = V_all[take]
-        end = pos
-        while end < order.size and V_all[order[end]] <= max(2.0 * V_lo, V_lo + 4.0):
-            end += 1
+        V_lo = V_sorted[pos]
+        end = int(np.searchsorted(V_sorted, max(2.0 * V_lo, V_lo + 4.0), side="right"))
         sel = order[pos:end]
-        M = max(2, int(np.ceil(V_all[sel[-1]] / PHASE_CYCLES_PER_PANEL)) + 2)
+        M = max(2, int(np.ceil(V_sorted[end - 1] / PHASE_CYCLES_PER_PANEL)) + 2)
         x, wts = _panel_nodes(M, _G12, _W12)
-        xa = x[None, :] ** a_pows[:, None]
-        xb = x[None, :] ** b_pows[:, None]
-        chunk = max(1, node_budget // x.size)
-        for lo in range(0, sel.size, chunk):
-            ss = sel[lo : lo + chunk]
-            A = rows[np.ix_(ss, a_cols)] @ xa
-            B = rows[np.ix_(ss, b_cols)] @ xb
-            vals = np.exp(2j * np.pi * A) * _unit_interval_transform(B)
-            out[ss] = vals @ wts
+        # exp(2 pi i A) int_0^1 exp(2 pi i B y) dy = e^{i (2 pi A + pi B)} sin(pi B) / (pi B)
+        xa = 2.0 * np.pi * x[None, :] ** a_pows[:, None]
+        xb = np.pi * x[None, :] ** b_pows[:, None]
+        chunk = max(1, CHUNK_NODES // x.size)
+        tasks += [(sel[lo : lo + chunk], xa, xb, wts) for lo in range(0, sel.size, chunk)]
         pos = end
+
+    def run(t: int) -> np.ndarray:
+        ss, xa, xb, wts = tasks[t]
+        phase = rows_a[ss] @ xa
+        pi_b = rows_b[ss] @ xb
+        phase += pi_b
+        sinc = np.sin(pi_b)
+        zero = pi_b == 0.0
+        pi_b[zero] = 1.0
+        sinc[zero] = 1.0
+        sinc /= pi_b
+        work = np.cos(phase, out=pi_b)  # pi_b's buffer: three arrays per task
+        work *= sinc
+        re = work @ wts
+        np.sin(phase, out=work)
+        work *= sinc
+        return re + 1j * (work @ wts)
+
+    out = np.empty(rows.shape[0], dtype=complex)
+    for (ss, *_), vals in zip(tasks, map_blocks(run, len(tasks), workers)):
+        out[ss] = vals
     return out

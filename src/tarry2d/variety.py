@@ -13,10 +13,11 @@ degree-(2,1) change of variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .parallel import map_blocks
 from .poly import monomial_count, monomial_indices
 from .rng import philox_stream
 
@@ -263,7 +264,7 @@ def thin_shell_measure(
             w_sq = float((w * w).sum())
         return w_sum, w_sq, int(acc.size)
 
-    results = _map_blocks(run_block, n_blocks, workers)
+    results = map_blocks(run_block, n_blocks, workers)
     w_sum = sum(r[0] for r in results)
     w_sq = sum(r[1] for r in results)
     n_acc = sum(r[2] for r in results)
@@ -304,13 +305,3 @@ def jacobian_D_case21(x: float, y: float, u: float, v: float) -> float:
     Closed form -2 (u - x)^2; independent of y and v, zero exactly when u = x.
     """
     return -2.0 * (u - x) ** 2
-
-
-def _map_blocks(fn, n_blocks: int, workers: int):
-    """Apply fn to block indices, merging in fixed order regardless of workers."""
-    if workers <= 1 or n_blocks <= 1:
-        return [fn(b) for b in range(n_blocks)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(n_blocks)))

@@ -96,6 +96,15 @@ class TestDeterminism:
         del obj1["run"], obj4["run"]
         assert obj1 == obj4
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_input_error(self, capsys, workers):
+        code = cli.main(["theta", "1", "1", "1", "2.0", "--samples", "1000",
+                         "--workers", workers])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--workers" in captured.err
+
     def test_floats_roundtrip_losslessly(self, capsys):
         _, out = run_cli(capsys, "theta", "1", "1", "1", "2.0",
                          "--samples", "5000")

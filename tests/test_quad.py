@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from tarry2d.poly import PolySpec
+from tarry2d.poly import PolySpec, monomial_indices
 from tarry2d.quad import PanelBudgetError, batch_osc_m1, osc_integral
+from tarry2d.theta import _sample_shell
 
 
 def midpoint_oracle(F, cells):
@@ -15,6 +16,14 @@ def midpoint_oracle(F, cells):
         vals = np.exp(2j * np.pi * F.eval(X, Y))
         total += vals.sum()
     return total / cells**2
+
+
+def with_y_coeffs(n, rows, values):
+    # copy of coefficient rows of an (n, 1) phase with the y-coefficients replaced
+    cols = [c for c, (i, j) in enumerate(monomial_indices(n, 1)) if j == 1]
+    rows = rows.copy()
+    rows[:, cols] = values
+    return rows
 
 
 class TestValues:
@@ -100,8 +109,17 @@ class TestInvariants:
 class TestBatch:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(9)
-        rows = rng.uniform(-8, 8, (40, 3))
+        rows = np.vstack([
+            rng.uniform(-8, 8, (40, 3)),
+            # the R = 20..40 max-norm shell: several variation groups, many chunks
+            _sample_shell(rng, 20.0, 40.0, 3, 200),
+            # y-coefficients exactly 0 and about 1e-12: the sinc limit
+            with_y_coeffs(1, rng.uniform(-8, 8, (10, 3)), 0.0),
+            with_y_coeffs(1, rng.uniform(-8, 8, (10, 3)), rng.uniform(-2e-12, 2e-12, (10, 2))),
+        ])
         got = batch_osc_m1(1, rows)
+        for workers in (2, 4):
+            assert batch_osc_m1(1, rows, workers=workers).tobytes() == got.tobytes()
         for row, g in zip(rows, got):
             want = osc_integral(PolySpec.from_vector(1, 1, row), tol=1e-9).value
             assert g == pytest.approx(want, abs=1e-7)
@@ -109,6 +127,8 @@ class TestBatch:
     def test_batch_degree_2(self):
         rng = np.random.default_rng(10)
         rows = rng.uniform(-4, 4, (20, 5))
+        rows[:3] = with_y_coeffs(2, rows[:3], 0.0)
+        rows[3:6] = with_y_coeffs(2, rows[3:6], rng.uniform(-2e-12, 2e-12, (3, 3)))
         got = batch_osc_m1(2, rows)
         for row, g in zip(rows, got):
             want = osc_integral(PolySpec.from_vector(2, 1, row), tol=1e-9).value

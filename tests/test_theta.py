@@ -93,6 +93,11 @@ class TestThetaTruncated:
         b = theta_truncated(1, 1, 1, 4.0, 20_000, seed=12, workers=4)
         assert a.value == b.value
         assert a.std_error == b.std_error
+        # m = 2 maps osc_integral over the rows instead of batch_osc_m1
+        a = theta_truncated(1, 2, 1, 0.5, 128, seed=12, workers=1)
+        b = theta_truncated(1, 2, 1, 0.5, 128, seed=12, workers=4)
+        assert a.value == b.value
+        assert a.std_error == b.std_error
 
     def test_seed_changes_value(self):
         a = theta_truncated(1, 1, 1, 4.0, 20_000, seed=13)
