@@ -25,6 +25,7 @@ from .variety import (
     SurfaceMeasureEstimate,
     ellipsoid_volume_check,
     gram_G0,
+    gram_dets,
     jacobi_A0,
     jacobian_D_case21,
     residual,

@@ -332,6 +332,8 @@ def _apply_config_file(parser, argv):
     if "--config-file" not in argv:
         return argv
     i = argv.index("--config-file")
+    if i + 1 == len(argv):
+        raise ValueError("--config-file needs a path")
     path = argv[i + 1]
     try:
         with open(path) as fh:

@@ -95,8 +95,10 @@ def theta_truncated(
     """Stratified MC estimate of the box-truncated integral of |J|^(2k).
 
     Shells get samples in proportion to shell volume times the square root
-    of a pilot second moment (about 1% of the budget); the estimator and its
-    standard error combine shells exactly, in fixed order.
+    of a pilot second moment (about 1% of the budget), rounded by largest
+    remainder, so n_samples equals the request unless a shell is raised to
+    its floor of 64; the estimator and its standard error combine shells
+    exactly, in fixed order.
 
     Shells and blocks run one after another; `workers` threads share the J
     evaluations of each block (see quad.batch_osc_m1), where the time goes.
@@ -122,7 +124,13 @@ def theta_truncated(
     w = vols * np.sqrt(pilot_m2)
     if w.sum() <= 0:
         w = vols.astype(float)
-    alloc = np.maximum((main_budget * w / w.sum()).astype(int), 64)
+    # largest remainder: a round-off move in w shifts a sample only between
+    # shells whose remainders nearly tie
+    share = main_budget * w / w.sum()
+    alloc = np.floor(share).astype(int)
+    short = main_budget - int(alloc.sum())
+    alloc[np.argsort(alloc - share, kind="stable")[:short]] += 1
+    alloc = np.maximum(alloc, 64)
 
     def run_shell(l: int):
         a, b = shells[l]

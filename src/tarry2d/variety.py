@@ -21,7 +21,7 @@ from .parallel import map_blocks
 from .poly import monomial_count, monomial_indices
 from .rng import philox_stream
 
-GRAM_REL_FLOOR = 1e-12  # below this times the Hadamard scale, report 0
+SHELL_BLOCK = 1 << 16  # thin-shell draws per random stream; 4k rows of 512 kB
 
 
 class HypothesisError(ValueError):
@@ -72,60 +72,68 @@ def translate_solution(config: PointConfig, a: float, b: float) -> PointConfig:
     return PointConfig(config.k, config.points + np.array([a, b]))
 
 
+def jacobi_batch(x: np.ndarray, y: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Gradients of the unsigned power sums for a batch of point sets.
+
+    Coordinate-major: x and y have shape (P, S), point p of set s at [p, s].
+    Returns D of shape (N, 2P, S) with D[r, 2p] = d(x_p^i y_p^j)/dx_p and
+    D[r, 2p + 1] = d(x_p^i y_p^j)/dy_p for the r-th index (i, j).  Each set
+    stays contiguous along the last axis.  Powers are built by products.
+    """
+    xp, yp = _powers(x, n), _powers(y, m)
+    idx = monomial_indices(n, m)
+    D = np.zeros((len(idx), 2 * x.shape[0], x.shape[1]))
+    for r, (i, j) in enumerate(idx):
+        if i:
+            D[r, 0::2] = i * _monomial(xp, yp, i - 1, j)
+        if j:
+            D[r, 1::2] = j * _monomial(xp, yp, i, j - 1)
+    return D
+
+
+def gram_dets(x: np.ndarray, y: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Gram determinants det(D D^T) for a batch of point sets, shape (S,).
+
+    x, y as in jacobi_batch.  Signs square away, so this is also the Gram
+    determinant of the signed system.  Round-off negatives read 0.
+    """
+    D = jacobi_batch(x, y, n, m)
+    N = D.shape[0]
+    G = np.empty((x.shape[1], N, N))
+    for a in range(N):
+        for b in range(a + 1):
+            G[:, a, b] = G[:, b, a] = np.einsum("cs,cs->s", D[a], D[b])
+    return np.maximum(np.linalg.det(G), 0.0)
+
+
+def _powers(v: np.ndarray, d: int) -> list:
+    """[None, v, v^2, ..., v^d]; the zeroth power stays implicit."""
+    out = [None, v]
+    for _ in range(d - 1):
+        out.append(out[-1] * v)
+    return out
+
+
+def _monomial(xp: list, yp: list, i: int, j: int):
+    """x^i y^j from power tables, with no multiplications by ones."""
+    if i and j:
+        return xp[i] * yp[j]
+    if i or j:
+        return xp[i] if i else yp[j]
+    return 1.0
+
+
 def jacobi_A0(config: PointConfig, n: int, m: int) -> np.ndarray:
     """N x 4k Jacobi matrix of the residual; columns alternate d/dx_s, d/dy_s."""
-    x, y = config.points[:, 0], config.points[:, 1]
-    eps = config.signs
-    idx = monomial_indices(n, m)
-    A = np.zeros((len(idx), 4 * config.k))
-    for r, (i, j) in enumerate(idx):
-        dx = eps * i * (x ** (i - 1) if i >= 1 else 0.0) * y**j
-        dy = eps * j * x**i * (y ** (j - 1) if j >= 1 else 0.0)
-        A[r, 0::2] = dx
-        A[r, 1::2] = dy
-    return A
-
-
-def _gram_det_psd(M: np.ndarray) -> float:
-    """Determinant of a (numerically) PSD Gram matrix; round-off negatives clamp to 0."""
-    g = float(np.linalg.det(M))
-    return max(g, 0.0)
+    pts = config.points
+    D = jacobi_batch(pts[:, :1], pts[:, 1:], n, m)[:, :, 0]
+    return D * np.repeat(config.signs, 2)
 
 
 def gram_G0(config: PointConfig, n: int, m: int) -> float:
     """Gram determinant det(A0 A0^T) of the residual gradients."""
-    A = jacobi_A0(config, n, m)
-    return _gram_det_psd(A @ A.T)
-
-
-def gram_half(points: np.ndarray, n: int, m: int) -> float:
-    """Gram determinant of the unsigned k-point power-sum system."""
-    pts = np.asarray(points, dtype=float)
-    x, y = pts[:, 0], pts[:, 1]
-    idx = monomial_indices(n, m)
-    A = np.zeros((len(idx), 2 * len(pts)))
-    for r, (i, j) in enumerate(idx):
-        A[r, 0::2] = i * (x ** (i - 1) if i >= 1 else 0.0) * y**j
-        A[r, 1::2] = j * x**i * (y ** (j - 1) if j >= 1 else 0.0)
-    return _gram_det_psd(A @ A.T)
-
-
-def _batch_gram_dets(samples: np.ndarray, k: int, n: int, m: int) -> np.ndarray:
-    """det(A0 A0^T) for a batch of flat configurations, shape (S, 4k)."""
-    S = samples.shape[0]
-    x = samples[:, 0::2]
-    y = samples[:, 1::2]
-    eps = np.concatenate([np.ones(k), -np.ones(k)])
-    idx = monomial_indices(n, m)
-    A = np.zeros((S, len(idx), 4 * k))
-    for r, (i, j) in enumerate(idx):
-        A[:, r, 0::2] = eps * i * (x ** (i - 1) if i >= 1 else 0.0) * y**j
-        A[:, r, 1::2] = eps * j * x**i * (y ** (j - 1) if j >= 1 else 0.0)
-    M = A @ np.transpose(A, (0, 2, 1))
-    dets = np.linalg.det(M)
-    scale = np.prod(np.maximum(np.diagonal(M, axis1=1, axis2=2), 1.0), axis=1)
-    dets = np.where(dets < GRAM_REL_FLOOR * scale, 0.0, dets)
-    return dets
+    pts = config.points
+    return float(gram_dets(pts[:, :1], pts[:, 1:], n, m)[0])
 
 
 @dataclass
@@ -173,7 +181,7 @@ def ellipsoid_volume_check(
     """
     A = jacobi_A0(config, n, m)
     M = A @ A.T
-    g = _gram_det_psd(M)
+    g = gram_G0(config, n, m)
     if g <= 0.0:
         raise ValueError("singular configuration: Gram determinant is zero")
     N = M.shape[0]
@@ -184,6 +192,8 @@ def ellipsoid_volume_check(
 
 @dataclass
 class SurfaceMeasureEstimate:
+    """Thin-shell estimate; n_accepted counts the draws with nonzero weight."""
+
     n: int
     m: int
     k: int
@@ -192,6 +202,7 @@ class SurfaceMeasureEstimate:
     std_error: float
     n_samples: int
     n_accepted: int
+    effective_sample_size: float
     seed: int
     weight: str
 
@@ -205,6 +216,7 @@ class SurfaceMeasureEstimate:
             "std_error": self.std_error,
             "n_samples": self.n_samples,
             "n_accepted": self.n_accepted,
+            "effective_sample_size": self.effective_sample_size,
             "seed": self.seed,
             "weight": self.weight,
         }
@@ -224,52 +236,70 @@ def thin_shell_measure(
     """(2h)^-N times the volume of the thin shell |residual - u| <= h in [0,1]^4k.
 
     With weight="none" this approximates the surface integral of 1/sqrt(G0)
-    over the level set residual = u; with weight="sqrtG0" each accepted
-    sample is weighted by sqrt(G0), approximating the plain surface area.
-    Counter-based RNG: results depend only on (seed, n_samples), not on the
-    worker count.
+    over the level set residual = u; with weight="sqrtG0" each sample in the
+    shell is weighted by sqrt(G0), approximating the plain surface area.
+
+    The two linear sums are integrated exactly rather than by rejection.  The
+    last point (sign -1) is dependent: x_last = sum_{p<2k-1} eps_p x_p - u_(1,0)
+    - t with t = h (2U - 1), U being that point's own x draw, and likewise for
+    y_last.  Uniform t over [-h, h] covers the (1,0) shell exactly once, so the
+    draws landing with both solved coordinates in [0, 1] and the other N - 2
+    residuals within h, times (2h)^-(N-2), estimate the same shell volume
+    without bias for every h > 0.  Counter-based RNG: results depend only on
+    (seed, n_samples), not on the worker count.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not (0.0 < h < math.inf):
+        raise ValueError(f"h must be positive and finite, got {h}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if weight not in ("none", "sqrtG0"):
         raise ValueError(f"unknown weight {weight!r}")
-    N = monomial_count(n, m)
-    u = np.broadcast_to(np.asarray(u, dtype=float), (N,))
     idx = monomial_indices(n, m)
-    eps = np.concatenate([np.ones(k), -np.ones(k)])
+    N = len(idx)
+    u = np.broadcast_to(np.asarray(u, dtype=float), (N,))
+    if not np.all(np.isfinite(u)):
+        raise ValueError("level u must be finite")
+    u10, u01 = u[idx.index((1, 0))], u[idx.index((0, 1))]
+    nonlinear = [(r, i, j) for r, (i, j) in enumerate(idx) if i + j > 1]
 
-    block = 1 << 18
-    n_blocks = (n_samples + block - 1) // block
+    n_blocks = (n_samples + SHELL_BLOCK - 1) // SHELL_BLOCK
 
     def run_block(b: int):
-        size = min(block, n_samples - b * block)
-        rng = philox_stream(seed, 1, b)
-        s = rng.random((size, 4 * k))
-        x = s[:, 0::2]
-        y = s[:, 1::2]
-        ok = np.ones(size, dtype=bool)
-        for r, (i, j) in enumerate(idx):
-            ri = (x**i * y**j) @ eps
-            ok &= np.abs(ri - u[r]) <= h
-        acc = np.flatnonzero(ok)
+        size = min(SHELL_BLOCK, n_samples - b * SHELL_BLOCK)
+        s = philox_stream(seed, 1, b).random((4 * k, size))
+        x, y = s[: 2 * k], s[2 * k :]
+        # solve the last point in place: x_last = sum eps_p x_p - u_(1,0) - t
+        for v, c in ((x, h - u10), (y, h - u01)):
+            last = v[-1]  # holds U, and -t = h - 2hU
+            last *= -2.0 * h
+            last += c
+            for p in range(k):
+                last += v[p]
+            for p in range(k, 2 * k - 1):
+                last -= v[p]
+        inside = (x[-1] >= 0.0) & (x[-1] <= 1.0) & (y[-1] >= 0.0) & (y[-1] <= 1.0)
+        s = s.compress(inside, axis=1)  # C order; s[:, inside] would be F order
+        x, y = s[: 2 * k], s[2 * k :]
+        xp, yp = _powers(x, n), _powers(y, m)
+        ok = np.ones(s.shape[1], dtype=bool)
+        for r, i, j in nonlinear:
+            t = _monomial(xp, yp, i, j)
+            ok &= np.abs(t[:k].sum(0) - t[k:].sum(0) - u[r]) <= h
         if weight == "none":
-            w_sum = float(acc.size)
-            w_sq = float(acc.size)
-        else:
-            dets = _batch_gram_dets(s[acc], k, n, m) if acc.size else np.zeros(0)
-            w = np.sqrt(np.maximum(dets, 0.0))
-            w_sum = float(w.sum())
-            w_sq = float((w * w).sum())
-        return w_sum, w_sq, int(acc.size)
+            n_in = int(np.count_nonzero(ok))
+            return float(n_in), float(n_in), n_in
+        s = s.compress(ok, axis=1)
+        w = np.sqrt(gram_dets(s[: 2 * k], s[2 * k :], n, m))
+        return float(w.sum()), float((w * w).sum()), int(np.count_nonzero(w))
 
     results = map_blocks(run_block, n_blocks, workers)
     w_sum = sum(r[0] for r in results)
     w_sq = sum(r[1] for r in results)
     n_acc = sum(r[2] for r in results)
 
-    scale = (2.0 * h) ** (-N)
+    scale = (2.0 * h) ** (2 - N)
     mean = w_sum / n_samples
     var = max(w_sq / n_samples - mean * mean, 0.0) / n_samples
     return SurfaceMeasureEstimate(
@@ -278,6 +308,7 @@ def thin_shell_measure(
         std_error=math.sqrt(var) * scale,
         n_samples=n_samples,
         n_accepted=n_acc,
+        effective_sample_size=w_sum * w_sum / w_sq if w_sq > 0 else 0.0,
         seed=seed,
         weight=weight,
     )
@@ -292,6 +323,8 @@ def theta_via_thin_shell(
     h -> 0, to the weighted surface measure of the solution variety.
     """
     N = monomial_count(n, m)
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if 2 * k < N:
         raise HypothesisError(f"need 2k >= N = {N}, got k = {k}")
     return thin_shell_measure(

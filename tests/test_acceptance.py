@@ -34,7 +34,7 @@ from tarry2d.variety import (
     PointConfig,
     ellipsoid_volume_check,
     gram_G0,
-    gram_half,
+    gram_dets,
     jacobian_D_case21,
     theta_via_thin_shell,
     thin_shell_measure,
@@ -101,8 +101,8 @@ def test_04_gram_invariance_suite():
                 failures.append((n, m, t, "scaling"))
             if g > bound:
                 failures.append((n, m, t, "bound"))
-            gh = gram_half(cfg.points[:k], n, m)
-            gp = gram_half(cfg.points[k:], n, m)
+            halves = cfg.points.reshape(2, k, 2)  # (half, point, coordinate)
+            gh, gp = gram_dets(halves[:, :, 0].T, halves[:, :, 1].T, n, m)
             if g < gh + gp - 1e-9 * max(g, 1e-30):
                 failures.append((n, m, t, "superadditivity"))
     ok = not failures

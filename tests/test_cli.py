@@ -146,6 +146,13 @@ class TestFormatsAndOutput:
                           "--config-file", str(tmp_path / "absent.cfg"))
         assert code == 2
 
+    def test_config_file_without_path(self, capsys):
+        code = cli.main(["theta", "1", "1", "1", "2.0", "--config-file"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--config-file" in captured.err
+
 
 class TestOtherCommands:
     def test_parseval(self, capsys):
@@ -174,6 +181,33 @@ class TestOtherCommands:
                             "--samples", "200000", "--weight", "sqrtG0")
         assert code == 0
         assert json.loads(out)["value"] > 0.0
+
+    @pytest.mark.parametrize("args", [
+        ["1", "1", "0"], ["1", "1", "-1", "--theta-form"],
+        ["1", "1", "2", "--h", "nan"], ["1", "1", "2", "--h", "inf"],
+        ["1", "1", "2", "--u", "nan"], ["1", "1", "2", "--u=-inf"],
+    ])
+    def test_thinshell_bad_input_is_input_error(self, capsys, args):
+        code = cli.main(["thinshell", *args, "--samples", "1000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("input error:")
+
+    def test_thinshell_reports_effective_sample_size(self, capsys):
+        code, out = run_cli(capsys, "thinshell", "1", "1", "2", "--h", "0.05",
+                            "--samples", "200000")
+        obj = json.loads(out)
+        assert code == 0
+        assert obj["effective_sample_size"] == obj["n_accepted"] > 0
+
+    def test_theta_reports_requested_samples(self, capsys):
+        # largest-remainder allocation: no sample is lost to flooring
+        code, out = run_cli(capsys, "theta", "1", "1", "1", "2",
+                            "--samples", "1000")
+        assert code == 0
+        assert json.loads(out)["n_samples"] == 1000
 
     def test_boxes(self, capsys):
         code, out = run_cli(capsys, "boxes", "1", "1", "1",

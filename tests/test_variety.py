@@ -10,7 +10,7 @@ from tarry2d.variety import (
     ellipsoid_volume_check,
     ellipsoid_volume_mc,
     gram_G0,
-    gram_half,
+    gram_dets,
     jacobi_A0,
     jacobian_D_case21,
     residual,
@@ -128,9 +128,18 @@ class TestGram:
         for _ in range(200):
             cfg = random_config(rng, 2)
             g0 = gram_G0(cfg, 1, 1)
-            g = gram_half(cfg.points[:2], 1, 1)
-            gp = gram_half(cfg.points[2:], 1, 1)
+            halves = cfg.points.reshape(2, 2, 2)  # (half, point, coordinate)
+            g, gp = gram_dets(halves[:, :, 0].T, halves[:, :, 1].T, 1, 1)
             assert g0 >= g + gp - 1e-12 * max(g0, 1.0)
+
+    def test_batch_matches_single(self):
+        rng = np.random.default_rng(12)
+        for n, m, k in ((1, 1, 2), (2, 1, 3)):
+            cfgs = [random_config(rng, k) for _ in range(50)]
+            pts = np.stack([c.points for c in cfgs], axis=-1)  # (point, coord, set)
+            batch = gram_dets(pts[:, 0], pts[:, 1], n, m)
+            single = [gram_G0(c, n, m) for c in cfgs]
+            assert batch == pytest.approx(single, rel=1e-12)
 
 
 class TestEllipsoid:
@@ -160,7 +169,68 @@ class TestEllipsoid:
         assert a == b
 
 
+def rejection_oracle(n, m, k, u, h, weight, draws, seed):
+    """Plain rejection in [0,1]^4k with its own Gram determinant: (value, se)."""
+    rng = np.random.default_rng(seed)
+    idx = monomial_indices(n, m)
+    eps = np.r_[np.ones(k), -np.ones(k)]
+    tot = tot2 = 0.0
+    for start in range(0, draws, 250_000):
+        s = rng.random((min(250_000, draws - start), 2 * k, 2))
+        x, y = s[..., 0], s[..., 1]
+        ok = np.ones(len(s), dtype=bool)
+        for r, (i, j) in enumerate(idx):
+            ok &= np.abs((x**i * y**j) @ eps - u[r]) <= h
+        w = np.ones(int(ok.sum()))
+        if weight == "sqrtG0":
+            xa, ya = x[ok], y[ok]
+            A = np.stack([np.concatenate(
+                [eps * i * xa ** max(i - 1, 0) * ya**j,
+                 eps * j * xa**i * ya ** max(j - 1, 0)], axis=1)
+                for i, j in idx], axis=1)
+            w = np.sqrt(np.maximum(np.linalg.det(A @ A.transpose(0, 2, 1)), 0.0))
+        tot += w.sum()
+        tot2 += (w * w).sum()
+    mean = tot / draws
+    scale = (2 * h) ** -len(idx)
+    return mean * scale, math.sqrt((tot2 / draws - mean**2) / draws) * scale
+
+
 class TestThinShell:
+    @pytest.mark.parametrize("n, m, k, u, h, weight", [
+        (1, 1, 2, (0.0, 0.0, 0.0), 0.05, "none"),
+        (1, 1, 2, (0.0, 0.0, 0.0), 0.05, "sqrtG0"),
+        (2, 1, 3, (0.1, -0.1, 0.05, 0.0, -0.05), 0.1, "none"),
+    ])
+    def test_matches_rejection_oracle(self, n, m, k, u, h, weight):
+        # the solved linear sums must reproduce plain rejection at the same h
+        est = thin_shell_measure(n, m, k, np.array(u), h, 400_000, seed=31,
+                                 weight=weight)
+        ref, ref_se = rejection_oracle(n, m, k, u, h, weight, 2_000_000, seed=32)
+        assert abs(est.value - ref) <= 3 * math.hypot(est.std_error, ref_se)
+        # and need at least 10x fewer draws for the same standard error
+        assert 10 * est.std_error**2 * 400_000 < ref_se**2 * 2_000_000
+
+    @pytest.mark.parametrize("weight", ["none", "sqrtG0"])
+    def test_standard_error_coverage(self, weight):
+        # about 95% of small runs should land within 2 se of a long run
+        ref = thin_shell_measure(1, 1, 2, np.zeros(3), 0.05, 20_000_000,
+                                 seed=33, weight=weight)
+        hits = 0
+        for seed in range(1000, 1200):
+            est = thin_shell_measure(1, 1, 2, np.zeros(3), 0.05, 20_000,
+                                     seed=seed, weight=weight)
+            hits += abs(est.value - ref.value) <= 2 * est.std_error
+        assert 0.88 <= hits / 200 <= 0.99
+
+    def test_effective_sample_size(self):
+        plain = thin_shell_measure(1, 1, 2, np.zeros(3), 0.05, 200_000, seed=34)
+        assert plain.effective_sample_size == plain.n_accepted > 0
+        w = thin_shell_measure(1, 1, 2, np.zeros(3), 0.05, 200_000, seed=34,
+                               weight="sqrtG0")
+        assert 0 < w.effective_sample_size < w.n_accepted
+        assert w.to_dict()["effective_sample_size"] == w.effective_sample_size
+
     def test_matches_plain_mc_oracle(self):
         n, m, k, h = 1, 1, 1, 0.05
         est = thin_shell_measure(n, m, k, np.zeros(3), h, 400_000, seed=17)
@@ -192,6 +262,14 @@ class TestThinShell:
                                  weight="sqrtG0")
         assert est.value > 0.0
         assert est.value > 3 * est.std_error
+
+    @pytest.mark.parametrize("k, u, h", [
+        (0, 0.0, 0.1), (-1, 0.0, 0.1), (1, 0.0, math.inf), (1, 0.0, math.nan),
+        (1, math.nan, 0.1), (1, -math.inf, 0.1),
+    ])
+    def test_bad_k_h_or_level(self, k, u, h):
+        with pytest.raises(ValueError):
+            thin_shell_measure(1, 1, k, np.full(3, u), h, 100, seed=1)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
