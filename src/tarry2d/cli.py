@@ -185,6 +185,9 @@ def cmd_gram(args) -> None:
 
 
 def cmd_thinshell(args) -> None:
+    if args.theta_form and (args.weight != "none" or args.u != 0.0):
+        raise ValueError("--theta-form estimates at u = 0 without weight; "
+                         "drop --weight and --u")
     if args.theta_form:
         est = variety.theta_via_thin_shell(
             args.n, args.m, args.k, args.h, args.samples, args.seed,
@@ -213,16 +216,11 @@ def cmd_boxes(args) -> None:
                 )
                 betas = lowerbound.sample_box(region, rng, args.beta_samples)
                 alphas = lowerbound.box_to_alpha(region, betas)
-                margin = max(
-                    lowerbound.e_set_margin(
-                        poly.PolySpec.from_vector(args.n, args.m, al),
-                        args.k, (nu / P, mu / P, P),
-                    )
-                    for al in alphas
-                )
+                margins = lowerbound.e_set_margins(
+                    args.n, args.m, alphas, args.k, (nu / P, mu / P, P))
                 sweep.append({"P": P, "nu": nu, "mu": mu,
                               "volume": lowerbound.box_volume(region),
-                              "margin_max": margin})
+                              "margin_max": float(margins.max())})
     payload = {"run": _run_config(args),
                "disjointness": report.to_dict(),
                "sweep": sweep}
@@ -252,8 +250,23 @@ def _add_common(p, seeded=True):
         p.add_argument("--workers", type=int, default=1)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ValueError, not usage text and exit."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="tarry2d",
         description="Experiments on two-dimensional oscillatory integrals "
                     "with polynomial phases",
@@ -357,6 +370,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         argv = _apply_config_file(parser, argv)
+        # argparse takes values such as -1e-3 or -inf for flags; float() and
+        # int() ignore the leading space that marks them as values
+        argv = [" " + a if a.startswith("-") and _is_number(a) else a for a in argv]
         args = parser.parse_args(argv)
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")

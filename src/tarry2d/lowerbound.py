@@ -24,6 +24,9 @@ from .poly import (
 )
 from .theta import shell_series_term
 
+_MARGIN_ROWS = 64  # phases per grid evaluation in e_set_margins
+_PAIR_ROWS = 256  # first boxes per block of pairs in disjointness_check
+
 
 def c_constant(n: int, m: int, k: int) -> float:
     """Gradient budget constant 1 / (n m sqrt(2k (n^2 + m^2)))."""
@@ -91,23 +94,27 @@ def box_volume_exponent(n: int, m: int) -> int:
 
 def sample_box(region: BoxRegion, rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform beta draws from the box, shape (size, N), ascending index order."""
+    if size < 1:
+        raise ValueError(f"need at least one draw per box, got {size}")
     return rng.uniform(region.lower, region.upper, (size, len(region.lower)))
 
 
 def box_to_alpha(region: BoxRegion, beta: np.ndarray) -> np.ndarray:
     """Map beta draws from the box to original coefficients at the box center."""
     u1, u2 = region.center
-    beta = np.atleast_2d(beta)
-    return np.stack([beta_to_alpha(region.n, region.m, u1, u2, b) for b in beta])
+    return beta_to_alpha(region.n, region.m, u1, u2, np.atleast_2d(beta))
 
 
-def e_set_margin(F: PolySpec, k: int, square: tuple[float, float, int],
-                 grid: int = 32) -> float:
-    """Max of |grad F|^2 - 1/(2k) on a sample grid over the square below (u1, u2).
+def e_set_margins(n: int, m: int, alphas: np.ndarray, k: int,
+                  square: tuple[float, float, int], grid: int = 32) -> np.ndarray:
+    """Max of |grad F|^2 - 1/(2k) on a sample grid over the square below (u1, u2),
+    for each phase F of degrees (n, m) given by a row of alphas (graded order).
 
     The square is [u1 - 1/P, u1] x [u2 - 1/P, u2] intersected with the unit
     square; a nonpositive margin certifies (to grid resolution) that the
-    square lies in the small-gradient set.
+    square lies in the small-gradient set.  Every grid value takes the same
+    Horner steps as PolySpec.grad at that point, so a row's margin does not
+    depend on the rest of the batch.
     """
     u1, u2, P = square
     x_lo, x_hi = max(u1 - 1.0 / P, 0.0), min(u1, 1.0)
@@ -116,9 +123,26 @@ def e_set_margin(F: PolySpec, k: int, square: tuple[float, float, int],
         raise ValueError("square does not intersect the unit square")
     xs = np.linspace(x_lo, x_hi, grid)
     ys = np.linspace(y_lo, y_hi, grid)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    fx, fy = F.grad(X, Y)
-    return float(np.max(fx * fx + fy * fy) - 1.0 / (2.0 * k))
+    alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
+    C = np.zeros((n + 1, m + 1, alphas.shape[0]))
+    for r, (i, j) in enumerate(monomial_indices(n, m)):
+        C[i, j] = alphas[:, r]
+    Cx = C[1:] * np.arange(1, n + 1)[:, None, None]
+    Cy = C[:, 1:] * np.arange(1, m + 1)[None, :, None]
+    out = np.empty(alphas.shape[0])
+    # rows in blocks, so the (rows, grid, grid) values stay small
+    for lo in range(0, out.size, _MARGIN_ROWS):
+        sl = slice(lo, lo + _MARGIN_ROWS)
+        fx = np.polynomial.polynomial.polygrid2d(xs, ys, Cx[..., sl])
+        fy = np.polynomial.polynomial.polygrid2d(xs, ys, Cy[..., sl])
+        out[sl] = np.max(fx * fx + fy * fy, axis=(1, 2))
+    return out - 1.0 / (2.0 * k)
+
+
+def e_set_margin(F: PolySpec, k: int, square: tuple[float, float, int],
+                 grid: int = 32) -> float:
+    """e_set_margins for the single phase F."""
+    return float(e_set_margins(F.n, F.m, F.coeff_vector(), k, square, grid)[0])
 
 
 def boxes_disjoint(r1: BoxRegion, r2: BoxRegion) -> bool:
@@ -177,25 +201,47 @@ class DisjointnessReport:
         }
 
 
+def _pairs_disjoint(n: int, m: int, k: int, P, nu, mu, i, j) -> np.ndarray:
+    """boxes_disjoint for each pair (box i, box j) of the boxes (P, nu, mu).
+
+    Evaluates boxes_disjoint's float expressions elementwise, so every
+    entry equals the scalar result.
+    """
+    c = c_constant(n, m, k)
+    e = n + m - 1
+    scales = P.tolist()
+    top_lo = np.array([0.5 * c * p ** e for p in scales])  # also t_min
+    top_hi = np.array([c * p ** e for p in scales])
+    widths = np.array([0.2 * c * p ** (e - 1) for p in scales])
+    Pi = P[i]
+    d_nu = np.abs(nu[i] - nu[j])
+    d_mu = np.abs(mu[i] - mu[j])
+    # the same box gives gap 0, never above the positive widths
+    gap = np.where(d_nu != 0, d_nu / Pi * n, d_mu / Pi * m) * top_lo[i]
+    return np.where(Pi == P[j], gap > widths[i],
+                    (top_hi[i] <= top_lo[j]) | (top_hi[j] <= top_lo[i]))
+
+
 def disjointness_check(n: int, m: int, k: int, scales) -> DisjointnessReport:
     """Check pairwise disjointness of all boxes across the given dyadic scales."""
     scales = sorted(int(P) for P in scales)
+    if not scales or scales[0] < 1:
+        raise ValueError(f"need one or more scales, each at least 1; got {scales}")
     for a, b in zip(scales, scales[1:]):
         if b < 2 * a:
             raise ValueError("scales must be dyadic: each at least double the last")
-    boxes = [
-        box_bounds(n, m, k, P, nu, mu)
-        for P in scales
-        for nu in range(1, P + 1)
-        for mu in range(1, P + 1)
-    ]
+    centers = [(P, nu, mu) for P in scales
+               for nu in range(1, P + 1) for mu in range(1, P + 1)]
+    P, nu, mu = np.array(centers).T
     violations = []
-    n_pairs = 0
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            n_pairs += 1
-            if not boxes_disjoint(boxes[i], boxes[j]):
-                violations.append((boxes[i], boxes[j]))
+    for lo in range(0, len(centers), _PAIR_ROWS):
+        # pairs (a, b) with lo <= a < b, in the order of a double loop over a < b
+        i, j = np.triu_indices(min(_PAIR_ROWS, len(centers) - lo), lo + 1, len(centers))
+        i += lo
+        bad = ~_pairs_disjoint(n, m, k, P, nu, mu, i, j)
+        violations += [(box_bounds(n, m, k, *centers[a]), box_bounds(n, m, k, *centers[b]))
+                       for a, b in zip(i[bad], j[bad])]
+    n_pairs = len(centers) * (len(centers) - 1) // 2
     return DisjointnessReport(n, m, k, scales, n_pairs, violations)
 
 

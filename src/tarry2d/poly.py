@@ -76,7 +76,10 @@ class PolySpec:
                 )
             if i + j == 0:
                 raise ValueError("constant term (0, 0) is not allowed")
-            clean[(int(i), int(j))] = float(val)
+            val = float(val)
+            if not math.isfinite(val):
+                raise ValueError(f"coefficient ({i}, {j}) is not finite: {val}")
+            clean[(int(i), int(j))] = val
         object.__setattr__(self, "coeffs", clean)
 
     @property
@@ -211,7 +214,16 @@ def recoeff_matrix(n: int, m: int, u1: float, u2: float) -> np.ndarray:
 
 
 def beta_to_alpha(n: int, m: int, u1: float, u2: float, beta) -> np.ndarray:
-    """Map recentered coefficients (ascending graded order) back to original ones."""
+    """Map recentered coefficients (ascending graded order) back to original ones.
+
+    beta is one vector or a batch of rows.  Each row takes its own matvec
+    with U, so a row maps to the same bits alone or in any batch (one GEMM
+    over the batch would round some rows differently).
+    """
     beta = np.asarray(beta, dtype=float)
     U = recoeff_matrix(n, m, u1, u2)
-    return (U @ beta[::-1])[::-1]
+    rows = np.atleast_2d(beta)
+    alpha = np.empty_like(rows)
+    for s, b in enumerate(rows):
+        alpha[s] = (U @ b[::-1])[::-1]
+    return alpha if beta.ndim > 1 else alpha[0]

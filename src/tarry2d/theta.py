@@ -22,6 +22,7 @@ from .poly import PolySpec, critical_threshold, monomial_count
 from .rng import philox_stream
 
 _BLOCK = 1 << 13
+_PARSEVAL_ROWS = 1024  # rows of [cr; ci] per GEMM in parseval_check
 
 
 @dataclass
@@ -45,8 +46,8 @@ class ThetaEstimate:
 
 def _shell_bounds(R: float) -> list[tuple[float, float]]:
     """Dyadic max-norm shells (0,1], (1,2], (2,4], ... clipped at R."""
-    if R <= 0:
-        raise ValueError("R must be positive")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got {R}")
     bounds = [0.0]
     b = 1.0
     while b < R:
@@ -170,8 +171,10 @@ def parseval_check(gamma: float, R: float, tol: float = 1e-3) -> float:
     R -> infinity the value approaches the unit-square mass of the transform,
     which is 1 under the exp(2 pi i .) kernel convention.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got {R}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
 
     def compute(mx_panels: int, mb_panels: int) -> float:
         x, wx = quad._panel_nodes(mx_panels, quad._G12, quad._W12)
@@ -181,15 +184,22 @@ def parseval_check(gamma: float, R: float, tol: float = 1e-3) -> float:
         Kw = (wx[:, None] * wx[None, :]) * K
         gb, wb = np.polynomial.legendre.leggauss(quad.ORDER_HIGH)
         offs = np.linspace(-R, R, mb_panels + 1)
-        total = 0.0
-        for p in range(mb_panels):
-            lo, hi = offs[p], offs[p + 1]
-            beta = (lo + hi) / 2.0 + (hi - lo) / 2.0 * gb
-            wts = (hi - lo) / 2.0 * wb
-            C = quad._unit_interval_transform(beta[:, None] + gamma * x[None, :])
-            T = C @ Kw
-            total += float(wts @ np.real(np.einsum("bi,bi->b", T, np.conj(C))))
-        return total
+        lo, hi = offs[:-1, None], offs[1:, None]
+        beta = ((lo + hi) / 2.0 + (hi - lo) / 2.0 * gb).ravel()
+        wts = ((hi - lo) / 2.0 * wb).ravel()
+        # c = exp(i pi t) sinc(t) with t = beta + gamma x.  Kw is real and
+        # symmetric, so Re(c Kw c^H) = cr Kw cr^T + ci Kw ci^T: one real GEMM
+        # of [cr; ci] against Kw, in row blocks so memory stays near that of K
+        mass = np.empty(beta.size)
+        step = _PARSEVAL_ROWS // 2
+        for s in range(0, beta.size, step):
+            t = beta[s : s + step, None] + gamma * x[None, :]
+            sinc = np.sinc(t)
+            t *= np.pi
+            C = np.concatenate([np.cos(t) * sinc, np.sin(t) * sinc])
+            q = np.einsum("bi,bi->b", C @ Kw, C)
+            mass[s : s + step] = q[: len(t)] + q[len(t) :]
+        return float(wts @ mass)
 
     mx = max(8, int(np.ceil((R + abs(gamma)) / quad.PHASE_CYCLES_PER_PANEL)) + 4)
     mb = max(8, int(np.ceil(2.0 * R)))
@@ -255,6 +265,8 @@ def growth_diagnostic(
     predicts growth).
     """
     radii = [float(r) for r in radii]
+    if not all(0.0 < r < math.inf for r in radii):
+        raise ValueError("radii must be positive and finite")
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("need at least 3 strictly increasing radii")
     ests = [

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +187,10 @@ class TestOtherCommands:
         ["1", "1", "0"], ["1", "1", "-1", "--theta-form"],
         ["1", "1", "2", "--h", "nan"], ["1", "1", "2", "--h", "inf"],
         ["1", "1", "2", "--u", "nan"], ["1", "1", "2", "--u=-inf"],
+        ["1", "1", "2", "--u", "-inf"],
+        ["1", "1", "2", "--theta-form", "--weight", "sqrtG0"],
+        ["1", "1", "2", "--theta-form", "--u", "0.1"],
+        ["1", "1", "2", "--theta-form", "--u", "nan"],
     ])
     def test_thinshell_bad_input_is_input_error(self, capsys, args):
         code = cli.main(["thinshell", *args, "--samples", "1000"])
@@ -194,6 +199,18 @@ class TestOtherCommands:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("input error:")
+
+    def test_thinshell_negative_float_value(self, capsys):
+        base = ["thinshell", "1", "1", "2", "--h", "0.05", "--samples", "20000"]
+        code, out = run_cli(capsys, *base, "--u", "-1e-3")
+        assert code == 0
+        assert out == run_cli(capsys, *base, "--u=-1e-3")[1]
+
+    def test_thinshell_theta_form_takes_default_weight_and_level(self, capsys):
+        base = ["thinshell", "1", "1", "2", "--theta-form", "--samples", "20000"]
+        code, out = run_cli(capsys, *base)
+        assert code == 0
+        assert out == run_cli(capsys, *base, "--weight", "none", "--u", "0")[1]
 
     def test_thinshell_reports_effective_sample_size(self, capsys):
         code, out = run_cli(capsys, "thinshell", "1", "1", "2", "--h", "0.05",
@@ -225,3 +242,41 @@ class TestOtherCommands:
         obj = json.loads(out)
         assert obj["classification"] == "divergent"
         assert obj["theorem_sign"] == -1
+
+    @pytest.mark.parametrize("workers", ["1", "2", "4"])
+    def test_boxes_golden_output(self, capsys, workers):
+        # bytes of the per-phase sweep, before the batched sweep replaced it
+        golden = (Path(__file__).parent / "data" / "boxes_2_1_2_scales_2_4_8.json").read_text()
+        code, out = run_cli(capsys, "boxes", "2", "1", "2", "--scales", "2", "4", "8",
+                            "--workers", workers)
+        assert code == 0
+        assert out == golden
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("argv", [
+        ["boxes", "1", "1", "1", "--scales", "0"],
+        ["boxes", "1", "1", "1", "--scales", "-2"],
+        ["boxes", "1", "1", "1", "--beta-samples", "0"],
+        ["parseval", "inf", "3"], ["parseval", "nan", "3"],
+        ["parseval", "0.3", "inf"], ["parseval", "0.3", "nan"],
+        ["theta", "1", "1", "1", "inf"], ["theta", "1", "1", "1", "nan"],
+        ["diagnose", "1", "1", "1", "--radii", "2", "4", "inf"],
+        ["theta", "1"], ["nosuch"], ["theta", "1", "1", "1", "2", "--bogus"],
+        ["theta", "1", "1", "1", "x"], ["boxes", "1", "1", "1", "--format", "xml"],
+    ])
+    def test_one_line_exit_2(self, capsys, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("input error:")
+
+    def test_infinite_coefficient_in_polynomial_file(self, capsys, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"n": 1, "m": 1, "coeffs": [{"i": 1, "j": 0, "value": Infinity}]}')
+        code = cli.main(["integral", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.count("\n") == 1 and "not finite" in captured.err

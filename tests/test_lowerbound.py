@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tarry2d import lowerbound
 from tarry2d.lowerbound import (
     BoxRegion,
     box_bounds,
@@ -14,9 +17,10 @@ from tarry2d.lowerbound import (
     disjointness_check,
     divergence_partial_sum,
     e_set_margin,
+    e_set_margins,
     sample_box,
 )
-from tarry2d.poly import PolySpec, monomial_count, monomial_indices
+from tarry2d.poly import PolySpec, monomial_count, monomial_indices, recoeff_matrix
 
 
 class TestConstant:
@@ -146,6 +150,86 @@ class TestDisjointness:
     def test_non_dyadic_scales_rejected(self):
         with pytest.raises(ValueError):
             disjointness_check(1, 1, 1, [2, 3])
+
+
+def _scalar_margin(F, k, square, grid=32):
+    """e_set_margin as one meshgrid and two polyval2d calls per phase."""
+    u1, u2, P = square
+    xs = np.linspace(max(u1 - 1.0 / P, 0.0), min(u1, 1.0), grid)
+    ys = np.linspace(max(u2 - 1.0 / P, 0.0), min(u2, 1.0), grid)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    fx, fy = F.grad(X, Y)
+    return float(np.max(fx * fx + fy * fy) - 1.0 / (2.0 * k))
+
+
+def _centers(scales):
+    return [(P, nu, mu) for P in scales
+            for nu in range(1, P + 1) for mu in range(1, P + 1)]
+
+
+class TestBatchedSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 3), k=st.integers(1, 4),
+           scales=st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    def test_array_disjointness_matches_scalar(self, n, m, k, scales):
+        # any scales, repeats included, so overlapping boxes occur too
+        centers = _centers(scales)
+        P, nu, mu = np.array(centers).T
+        i, j = np.triu_indices(len(centers))
+        got = lowerbound._pairs_disjoint(n, m, k, P, nu, mu, i, j)
+        boxes = [box_bounds(n, m, k, *c) for c in centers]
+        assert got.tolist() == [boxes_disjoint(boxes[a], boxes[b]) for a, b in zip(i, j)]
+
+    @pytest.mark.parametrize("n,m,k,scales", [
+        (1, 1, 1, [1, 2, 4]), (2, 1, 2, [2, 4, 8, 16]), (2, 2, 3, [1, 2, 4]),
+    ])
+    def test_check_matches_scalar_loop(self, monkeypatch, n, m, k, scales):
+        # mark some pairs as overlapping to see the report name them in loop order
+        def marked(i, j):
+            return (i + j) % 13 == 0
+
+        real = lowerbound._pairs_disjoint
+        monkeypatch.setattr(lowerbound, "_pairs_disjoint",
+                            lambda *a: real(*a) & ~marked(a[-2], a[-1]))
+        report = disjointness_check(n, m, k, scales)
+        boxes = [box_bounds(n, m, k, *c) for c in _centers(scales)]
+        want = [(a, b) for a in range(len(boxes)) for b in range(a + 1, len(boxes))
+                if marked(a, b) or not boxes_disjoint(boxes[a], boxes[b])]
+        assert report.n_pairs == len(boxes) * (len(boxes) - 1) // 2
+        assert [(r1.P, r1.nu, r1.mu, r2.P, r2.nu, r2.mu) for r1, r2 in report.violations] == \
+            [(boxes[a].P, boxes[a].nu, boxes[a].mu, boxes[b].P, boxes[b].nu, boxes[b].mu)
+             for a, b in want]
+        assert want
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 3), k=st.integers(1, 4),
+           P=st.sampled_from([1, 2, 4, 8]), data=st.data(),
+           seed=st.integers(0, 2**32 - 1), size=st.integers(1, 150),
+           scale=st.floats(1e-3, 1e3))
+    def test_batched_margins_match_scalar_loop(self, n, m, k, P, data, seed, size, scale):
+        nu, mu = data.draw(st.integers(1, P)), data.draw(st.integers(1, P))
+        region = box_bounds(n, m, k, P, nu, mu)
+        rng = np.random.default_rng(seed)
+        betas = sample_box(region, rng, size)
+        alphas = box_to_alpha(region, betas)
+        u1, u2 = region.center
+        U = recoeff_matrix(n, m, u1, u2)
+        assert np.array_equal(alphas, np.stack([(U @ b[::-1])[::-1] for b in betas]))
+        # rows from the box, then rows of any size
+        alphas = np.vstack([alphas, scale * rng.standard_normal(alphas.shape)])
+        got = e_set_margins(n, m, alphas, k, (u1, u2, P))
+        want = [_scalar_margin(PolySpec.from_vector(n, m, a), k, (u1, u2, P))
+                for a in alphas]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("scales", [[0, 2], [-2], []])
+    def test_empty_sweep_rejected(self, scales):
+        with pytest.raises(ValueError):
+            disjointness_check(1, 1, 1, scales)
+
+    def test_no_draws_rejected(self):
+        with pytest.raises(ValueError):
+            sample_box(box_bounds(1, 1, 1, 1, 1, 1), np.random.default_rng(0), 0)
 
 
 class TestSeriesSum:

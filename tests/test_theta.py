@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tarry2d import quad
 from tarry2d.theta import (
     _sample_shell,
     _shell_bounds,
@@ -119,6 +120,34 @@ class TestThetaTruncated:
             theta_truncated(1, 1, 1, 2.0, 0, seed=1)
 
 
+def _parseval_per_panel(gamma, R, tol=1e-3):
+    """parseval_check with one complex product C Kw per b-panel of 12 nodes."""
+    def compute(mx_panels, mb_panels):
+        x, wx = quad._panel_nodes(mx_panels, quad._G12, quad._W12)
+        K = 2.0 * R * np.sinc(2.0 * R * (x[:, None] - x[None, :]))
+        Kw = (wx[:, None] * wx[None, :]) * K
+        gb, wb = np.polynomial.legendre.leggauss(quad.ORDER_HIGH)
+        offs = np.linspace(-R, R, mb_panels + 1)
+        total = 0.0
+        for lo, hi in zip(offs[:-1], offs[1:]):
+            beta = (lo + hi) / 2.0 + (hi - lo) / 2.0 * gb
+            wts = (hi - lo) / 2.0 * wb
+            C = quad._unit_interval_transform(beta[:, None] + gamma * x[None, :])
+            total += float(wts @ np.real(np.einsum("bi,bi->b", C @ Kw, np.conj(C))))
+        return total
+
+    mx = max(8, int(np.ceil((R + abs(gamma)) / quad.PHASE_CYCLES_PER_PANEL)) + 4)
+    mb = max(8, int(np.ceil(2.0 * R)))
+    val = compute(mx, mb)
+    for _ in range(3):
+        mx2, mb2 = (3 * mx) // 2, (3 * mb) // 2
+        val2 = compute(mx2, mb2)
+        if abs(val2 - val) <= tol:
+            return val2
+        mx, mb, val = mx2, mb2, val2
+    return val
+
+
 class TestParseval:
     def test_zero_top_coefficient_product_form(self):
         # with no cross term the mass factorizes into a squared sinc integral
@@ -148,6 +177,19 @@ class TestParseval:
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             parseval_check(0.3, 0.0)
+
+    @pytest.mark.parametrize("gamma,R", [
+        (math.inf, 3.0), (math.nan, 3.0), (0.3, math.inf), (0.3, math.nan),
+    ])
+    def test_non_finite_input_rejected(self, gamma, R):
+        with pytest.raises(ValueError):
+            parseval_check(gamma, R)
+
+    @pytest.mark.parametrize("gamma,R", [(0.3, 30.0), (2.0, 5.0), (0.0, 3.0)])
+    def test_real_gemm_matches_per_panel_product(self, gamma, R):
+        # the real [cr; ci] GEMM moves the mass only at round-off
+        want = _parseval_per_panel(gamma, R)
+        assert parseval_check(gamma, R) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestSeries:
