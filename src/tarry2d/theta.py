@@ -71,9 +71,12 @@ def _sample_shell(rng: np.random.Generator, a: float, b: float, N: int, size: in
 def _abs_J_pow(
     n: int, m: int, k: int, rows: np.ndarray, tol: float, workers: int
 ) -> np.ndarray:
-    """|J(alpha)|^(2k) for a batch of coefficient vectors, rows on `workers` threads."""
+    """|J(alpha)|^(2k) for a batch of coefficient vectors, rows on `workers` threads.
+
+    Each J is within tol.
+    """
     if m == 1:
-        vals = quad.batch_osc_m1(n, rows, workers=workers)
+        vals = quad.batch_osc_m1(n, rows, tol=tol, workers=workers)
     else:
         rows = np.atleast_2d(rows)
         vals = np.array(map_blocks(
@@ -99,7 +102,8 @@ def theta_truncated(
     of a pilot second moment (about 1% of the budget), rounded by largest
     remainder, so n_samples equals the request unless a shell is raised to
     its floor of 64; the estimator and its standard error combine shells
-    exactly, in fixed order.
+    exactly, in fixed order.  Each J is within tol; for m = 1 phases tol
+    sizes the batch rule (see quad.batch_osc_m1).
 
     Shells and blocks run one after another; `workers` threads share the J
     evaluations of each block (see quad.batch_osc_m1), where the time goes.
@@ -109,6 +113,7 @@ def theta_truncated(
         raise ValueError("k must be >= 1")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    quad._check_tol(tol)
     N = monomial_count(n, m)
     shells = _shell_bounds(R)
     vols = np.array([(2 * b) ** N - (2 * a) ** N for a, b in shells])
@@ -175,6 +180,7 @@ def parseval_check(gamma: float, R: float, tol: float = 1e-3) -> float:
         raise ValueError(f"R must be positive and finite, got {R}")
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
+    quad._check_tol(tol)
 
     def compute(mx_panels: int, mb_panels: int) -> float:
         x, wx = quad._panel_nodes(mx_panels, quad._G12, quad._W12)
@@ -269,6 +275,7 @@ def growth_diagnostic(
         raise ValueError("radii must be positive and finite")
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("need at least 3 strictly increasing radii")
+    quad._check_tol(tol)
     ests = [
         theta_truncated(n, m, k, R, n_samples, seed + 1000 * i, tol=tol, workers=workers)
         for i, R in enumerate(radii)

@@ -41,6 +41,8 @@ class PointConfig:
         pts = np.asarray(self.points, dtype=float)
         if pts.shape != (2 * self.k, 2):
             raise ValueError(f"expected {2 * self.k} points of 2 coords, got {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("point coordinates must be finite")
         object.__setattr__(self, "points", pts)
 
     @property

@@ -273,6 +273,30 @@ class TestInputContract:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("input error:")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["theta", "1", "1", "1", "2"], ["theta", "1", "2", "1", "2", "--samples", "200"],
+        ["diagnose", "1", "1", "1"], ["parseval", "0.3", "3"], ["integral"],
+    ])
+    def test_bad_tol(self, capsys, tmp_path, command, tol):
+        if command == ["integral"]:
+            command = ["integral", str(write_poly(tmp_path)[0])]
+        code = cli.main([*command, "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("input error:") and "tol" in captured.err
+
+    def test_infinite_coordinate_in_point_file(self, capsys, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"k": 1, "points": [[0.1, 0.2], [Infinity, 0.5]]}')
+        code = cli.main(["gram", str(path), "--n", "1", "--m", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "finite" in captured.err
+
     def test_infinite_coefficient_in_polynomial_file(self, capsys, tmp_path):
         path = tmp_path / "inf.json"
         path.write_text('{"n": 1, "m": 1, "coeffs": [{"i": 1, "j": 0, "value": Infinity}]}')

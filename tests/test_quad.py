@@ -1,7 +1,11 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
-from tarry2d.poly import PolySpec, monomial_indices
+from tarry2d import quad
+from tarry2d.poly import PolySpec, monomial_count, monomial_indices
 from tarry2d.quad import PanelBudgetError, batch_osc_m1, osc_integral
 from tarry2d.theta import _sample_shell
 
@@ -140,3 +144,83 @@ class TestBatch:
         a = np.abs(batch_osc_m1(1, rows))
         b = np.abs(batch_osc_m1(1, -rows))
         assert np.array_equal(a, b)
+
+
+def rows_spanning_variation(rng, n, V_max, count):
+    # random (n, 1) rows rescaled to phase variations spread evenly over 0..V_max
+    idx = monomial_indices(n, 1)
+    pows = np.array([i for i, _ in idx], dtype=float)
+    rows = rng.uniform(-1.0, 1.0, (count, len(idx)))
+    V = np.abs(rows) @ pows
+    return rows * (np.linspace(0.0, V_max, count) / V)[:, None]
+
+
+def mp_J_m1(n, row):
+    # 30-digit J of an (n, 1) phase: int_0^1 e^{2 pi i A(x)} int_0^1 e^{2 pi i B(x) y} dy dx
+    mpmath.mp.dps = 30
+    idx = monomial_indices(n, 1)
+    coef = [(i, j, mpmath.mpf(float(v))) for (i, j), v in zip(idx, row)]
+
+    def g(x):
+        A = sum(v * x**i for i, j, v in coef if j == 0)
+        B = sum(v * x**i for i, j, v in coef if j == 1)
+        inner = 1 if B == 0 else (mpmath.expjpi(2 * B) - 1) / (2j * mpmath.pi * B)
+        return mpmath.expjpi(2 * A) * inner
+
+    cuts = mpmath.linspace(0, 1, 33)
+    return complex(mpmath.quad(g, cuts))
+
+
+class TestBatchRule:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_within_tol_of_scalar_reference(self, n):
+        rng = np.random.default_rng(30 + n)
+        rows = rows_spanning_variation(rng, n, 400.0, 41)
+        ref = np.array([
+            osc_integral(PolySpec.from_vector(n, 1, r), tol=1e-13).value for r in rows
+        ])
+        for tol in (1e-4, 1e-6, 1e-9, 1e-12):
+            assert np.max(np.abs(batch_osc_m1(n, rows, tol=tol) - ref)) <= tol
+
+    @pytest.mark.parametrize("n,V", [(1, 7.0), (1, 31.0), (2, 12.0), (3, 25.0)])
+    def test_mpmath_spot_checks(self, n, V):
+        rng = np.random.default_rng(int(V) + n)
+        rows = rows_spanning_variation(rng, n, V, 2)[1:]
+        for tol in (1e-6, 1e-12):
+            got = batch_osc_m1(n, rows, tol=tol)[0]
+            assert abs(got - mp_J_m1(n, rows[0])) <= tol
+
+    def test_panel_count_grows_as_tol_tightens(self):
+        for n in (1, 2, 3):
+            for V in (0.0, 0.3, 5.0, 20.0, 80.0, 320.0, 1000.0):
+                M = [quad._panel_count(V, n, tol) for tol in 10.0 ** -np.arange(2.0, 15.0)]
+                assert all(a <= b for a, b in zip(M, M[1:]))
+                assert M[0] >= 1
+
+    def test_panel_count_is_smallest_meeting_tol(self):
+        for n in (1, 2, 3):
+            for V in (0.3, 20.0, 320.0):
+                for tol in (1e-4, 1e-9):
+                    M = quad._panel_count(V, n, tol)
+                    assert quad._log_bound(M, V, n) <= math.log(tol)
+                    assert M == 1 or quad._log_bound(M - 1, V, n) > math.log(tol)
+
+    def test_fewer_nodes_than_half_cycle_panels(self):
+        # the former rule: max(2, ceil(V / 0.5)) + 2 panels of 12 nodes, whatever tol
+        for n in (1, 2, 3):
+            for V in (20.0, 40.0, 80.0, 320.0, 1000.0):
+                old_nodes = quad.ORDER_HIGH * (max(2, math.ceil(V / 0.5)) + 2)
+                new_nodes = quad.ORDER_HIGH * quad._panel_count(V, n, 1e-6)
+                assert new_nodes < old_nodes / 2
+
+    def test_unreachable_tol_rejected(self):
+        with pytest.raises(ValueError):
+            batch_osc_m1(1, np.array([[1.0, 2.0, 3.0]]), tol=1e-200)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        rows = np.array([[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError):
+            batch_osc_m1(1, rows, tol=tol)
+        with pytest.raises(ValueError):
+            osc_integral(PolySpec.from_vector(1, 1, rows[0]), tol=tol)

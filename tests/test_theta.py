@@ -119,6 +119,22 @@ class TestThetaTruncated:
         with pytest.raises(ValueError):
             theta_truncated(1, 1, 1, 2.0, 0, seed=1)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tol(self, tol):
+        with pytest.raises(ValueError):
+            theta_truncated(1, 1, 1, 2.0, 1000, seed=1, tol=tol)
+        with pytest.raises(ValueError):
+            growth_diagnostic(1, 1, 1, [2.0, 4.0, 8.0], 1000, seed=1, tol=tol)
+        with pytest.raises(ValueError):
+            parseval_check(0.3, 3.0, tol=tol)
+
+    def test_tol_sizes_the_m1_rule(self):
+        # a looser tol takes fewer panels, so the value moves, but within the tols
+        tight = theta_truncated(1, 1, 1, 8.0, 4000, seed=3, tol=1e-12).value
+        loose = theta_truncated(1, 1, 1, 8.0, 4000, seed=3, tol=1e-3).value
+        assert loose != tight
+        assert loose == pytest.approx(tight, rel=0.05)
+
 
 def _parseval_per_panel(gamma, R, tol=1e-3):
     """parseval_check with one complex product C Kw per b-panel of 12 nodes."""

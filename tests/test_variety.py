@@ -35,6 +35,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             PointConfig(0, np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coordinates_rejected(self, bad):
+        pts = np.zeros((4, 2))
+        pts[2, 1] = bad
+        with pytest.raises(ValueError):
+            PointConfig(2, pts)
+
     def test_json_roundtrip(self):
         cfg = random_config(np.random.default_rng(1), 2)
         back = PointConfig.from_json_dict(cfg.to_json_dict())
