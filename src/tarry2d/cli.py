@@ -20,6 +20,7 @@ import numpy as np
 from . import lowerbound, poly, quad, theta, variety
 
 DEFAULT_SEED = 20240001
+_NO_WORKERS = "accepted for uniformity with the other seeded commands; has no effect"
 
 
 def _fmt_float(x: float) -> str:
@@ -241,13 +242,15 @@ def cmd_diagnose(args) -> None:
 
 
 def _add_common(p, seeded=True):
+    """Flags every subcommand takes; returns the --workers action of seeded ones."""
     p.add_argument("--output", help="write results to this file instead of stdout")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--config-file", dest="config_file",
                    help="key=value file supplying flag defaults")
     if seeded:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--workers", type=int, default=1)
+        return p.add_argument("--workers", type=int, default=1,
+                              help="threads to run on; the output is the same for any count")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="JSON point-configuration file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
+    _add_common(p).help = _NO_WORKERS
     p.set_defaults(fn=cmd_gram)
 
     p = sub.add_parser("thinshell", help="thin-shell surface-measure estimate")
@@ -325,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(name, type=int)
     p.add_argument("--scales", type=int, nargs="+", default=[2, 4, 8])
     p.add_argument("--beta-samples", type=int, default=20)
-    _add_common(p)
+    _add_common(p).help = _NO_WORKERS
     p.set_defaults(fn=cmd_boxes)
 
     p = sub.add_parser("diagnose", help="growth of the truncated integral in R")

@@ -1,16 +1,18 @@
 """Oscillatory double integral over the unit square with polynomial phase.
 
-The integral J = int_0^1 int_0^1 exp(2 pi i F(x, y)) dx dy is evaluated by
-panel-wise Gauss-Legendre rules of order 12.  When the phase is linear in y
-(m = 1) the inner integral closes in elementary form and only x needs a
-rule; otherwise a 2-D tensor rule is used.
+J = int_0^1 int_0^1 exp(2 pi i F(x, y)) dx dy is evaluated by order-12
+Gauss-Legendre panels sized a priori from tol: a direction of degree n and
+phase variation V gets the fewest panels M whose Bernstein-ellipse error
+bound exp(_log_bound(M, V, n)) meets its share of tol (_panel_count).
 
-osc_integral (one phase) starts from panels on which the phase varies by at
-most half a cycle, estimates the error against an order-8 rule on the same
-panels, and doubles the panels until the estimate meets tol.
-batch_osc_m1 (many m = 1 phases) sizes the panels a priori instead: each
-group of rows of similar phase variation gets the smallest panel count whose
-Bernstein-ellipse error bound for order-12 Gauss-Legendre is at most tol.
+A phase with n == 1 < m is first swapped to F(y, x) (_orient).  A phase
+linear in y closes its inner integral, so only x takes a rule, sized at tol
+with V = sum i |a_ij| (batch_osc_m1, many phases at once).  Any other takes
+an Mx x My tensor rule: from Q - I = Qx (Qy - Iy) + (Qx - Ix) Iy, with
+weights positive and summing to 1, its error is at most E(Mx; Vx, n) +
+E(My; Vy, m), Vx = sum i |a_ij|, Vy = sum j |a_ij|, each sized at tol / 2.
+A panel count beyond the MAX_NODES budget raises PanelBudgetError before
+any node is built.
 """
 
 from __future__ import annotations
@@ -23,16 +25,15 @@ import numpy as np
 from .parallel import map_blocks
 from .poly import PolySpec, monomial_indices
 
-PHASE_CYCLES_PER_PANEL = 0.5
+PHASE_CYCLES_PER_PANEL = 0.5  # parseval_check's x panels
 ORDER_HIGH = 12
-ORDER_LOW = 8
-# Nodes per batch_osc_m1 task: its three float64 work arrays stay in a 2 MB L2.
+# Nodes per batch_osc_m1 task and tensor-rule chunk: work arrays stay in a 2 MB L2.
 CHUNK_NODES = 1 << 16
+MAX_NODES = 1 << 26  # node budget of one J, and of each direction of the tensor rule
 
 _G12, _W12 = np.polynomial.legendre.leggauss(ORDER_HIGH)
-_G8, _W8 = np.polynomial.legendre.leggauss(ORDER_LOW)
 
-# Bernstein ellipse parameters for the batch error bound (see _log_bound):
+# Bernstein ellipse parameters for the error bound (see _log_bound):
 # b = (rho - 1/rho) / 2 and log of rho^(2 ORDER_HIGH) (rho^2 - 1) 15/32
 _RHO = 1.0 + np.geomspace(1e-2, 1e3, 256)
 _RHO_B = 0.5 * (_RHO - 1.0 / _RHO)
@@ -40,7 +41,7 @@ _RHO_LOG_DECAY = 2 * ORDER_HIGH * np.log(_RHO) + np.log(_RHO**2 - 1.0) + math.lo
 
 
 class PanelBudgetError(RuntimeError):
-    """Raised when honoring the tolerance would exceed the panel budget."""
+    """Raised when honoring the tolerance would exceed the node budget."""
 
 
 def _check_tol(tol: float) -> None:
@@ -63,90 +64,55 @@ def _panel_nodes(M: int, g: np.ndarray, w: np.ndarray):
     return x, wts
 
 
-def _phase_variation(F: PolySpec) -> float:
-    return sum(abs(v) * (i + j) for (i, j), v in F.coeffs.items())
+def _orient(n: int, m: int, rows: np.ndarray):
+    """(n, m, rows), swapped to F(y, x) when n == 1 < m so the phase is linear in y;
+    the swap permutes the columns of rows into the graded order of (m, n)."""
+    if not n == 1 < m:
+        return n, m, rows
+    pos = {ij: c for c, ij in enumerate(monomial_indices(n, m))}
+    return m, n, rows[..., [pos[(j, i)] for i, j in monomial_indices(m, n)]]
 
 
-def _unit_interval_transform(t):
-    """int_0^1 exp(2 pi i t y) dy, stable near t = 0."""
-    return np.exp(1j * np.pi * t) * np.sinc(t)
-
-
-def _reduced_profiles(F: PolySpec):
-    """For m = 1 phases F = A(x) + y B(x): coefficient arrays of A and B."""
-    a = np.zeros(F.n + 1)
-    b = np.zeros(F.n + 1)
-    for (i, j), v in F.coeffs.items():
-        if j == 0:
-            a[i] = v
-        else:
-            b[i] = v
-    return a, b
-
-
-def _eval_reduced(a, b, M, g, w):
-    x, wts = _panel_nodes(M, g, w)
-    A = np.polynomial.polynomial.polyval(x, a)
-    B = np.polynomial.polynomial.polyval(x, b)
-    vals = np.exp(2j * np.pi * A) * _unit_interval_transform(B)
-    return complex(vals @ wts), x.size
-
-
-def _eval_tensor(F: PolySpec, M, g, w, row_chunk=512):
-    x, wx = _panel_nodes(M, g, w)
-    C = F.coeff_matrix()
+def _eval_tensor(C: np.ndarray, Mx: int, My: int) -> complex:
+    """Mx x My-panel order-12 tensor rule for the coefficient matrix C, in row chunks."""
+    x, wx = _panel_nodes(Mx, _G12, _W12)
+    y, wy = _panel_nodes(My, _G12, _W12)
+    step = max(1, CHUNK_NODES // y.size)
     total = 0.0 + 0.0j
-    for lo in range(0, x.size, row_chunk):
-        xs = x[lo : lo + row_chunk]
-        vals = np.polynomial.polynomial.polygrid2d(xs, x, C)
-        total += wx[lo : lo + row_chunk] @ np.exp(2j * np.pi * vals) @ wx
-    return complex(total), x.size**2
+    for lo in range(0, x.size, step):
+        vals = np.polynomial.polynomial.polygrid2d(x[lo : lo + step], y, C)
+        vals -= np.rint(vals)
+        total += wx[lo : lo + step] @ np.exp(2j * np.pi * vals) @ wy
+    return complex(total)
 
 
-def osc_integral(F: PolySpec, tol: float = 1e-8, max_evals: int = 2**26) -> QuadResult:
-    """Evaluate J(F) with an error estimate.
+def osc_integral(F: PolySpec, tol: float = 1e-8, max_evals: int = MAX_NODES) -> QuadResult:
+    """J(F) within tol by the rule of the module docstring (m = 1: batch_osc_m1).
 
-    Deterministic for fixed inputs.  Raises PanelBudgetError when the panel
-    count needed to reach tol would exceed max_evals function evaluations.
+    abs_error_estimate is its a-priori bound (at most tol), n_evals its node
+    count.  Raises PanelBudgetError, before building any node, when that
+    count would exceed max_evals.  Deterministic for fixed inputs.
     """
     _check_tol(tol)
-    V = _phase_variation(F)
-    if V == 0.0:
+    n, m, row = _orient(F.n, F.m, F.coeff_vector())
+    if not row.any():
         return QuadResult(1.0 + 0.0j, 0.0, 1)
-
-    reduced = F.m == 1
-    if reduced:
-        a, b = _reduced_profiles(F)
-
-    M = max(2, int(np.ceil(V / PHASE_CYCLES_PER_PANEL)) + 2)
-    best = None
-    while True:
-        cost = (ORDER_HIGH * M) + (ORDER_LOW * M) if reduced else \
-            (ORDER_HIGH * M) ** 2 + (ORDER_LOW * M) ** 2
-        if cost > max_evals:
-            if best is not None and best.abs_error_estimate <= tol:
-                return best
-            raise PanelBudgetError(
-                f"phase too large for tolerance {tol}: {M} panels exceed the "
-                f"evaluation budget {max_evals}"
-            )
-        if reduced:
-            hi, n_hi = _eval_reduced(a, b, M, _G12, _W12)
-            lo, n_lo = _eval_reduced(a, b, M, _G8, _W8)
-        else:
-            hi, n_hi = _eval_tensor(F, M, _G12, _W12)
-            lo, n_lo = _eval_tensor(F, M, _G8, _W8)
-        err = abs(hi - lo)
-        n_evals = n_hi + n_lo + (best.n_evals if best else 0)
-        cand = QuadResult(hi, err, n_evals)
-        # keep the smallest error seen so a tighter tol never worsens the estimate
-        if best is None or cand.abs_error_estimate <= best.abs_error_estimate:
-            best = QuadResult(cand.value, cand.abs_error_estimate, n_evals)
-        else:
-            best = QuadResult(best.value, best.abs_error_estimate, n_evals)
-        if best.abs_error_estimate <= tol:
-            return best
-        M *= 2
+    with np.errstate(over="ignore"):  # an infinite variation raises PanelBudgetError
+        Vx, Vy = np.abs(row) @ np.array(monomial_indices(n, m))
+    if m == 1:
+        M = _panel_count(Vx, n, tol)
+        nodes, bound = ORDER_HIGH * M, _bound(M, Vx, n)
+    else:
+        Mx, My = _panel_count(Vx, n, tol / 2), _panel_count(Vy, m, tol / 2)
+        nodes, bound = ORDER_HIGH**2 * Mx * My, _bound(Mx, Vx, n) + _bound(My, Vy, m)
+    if nodes > max_evals:
+        raise PanelBudgetError(f"phase too large for tolerance {tol}: {nodes} nodes > {max_evals}")
+    if m == 1:
+        # rows passed positionally: perfbench's spans read them from args[1]
+        value = batch_osc_m1(n, row[None, :], tol)[0]
+    else:
+        value = _eval_tensor(F.coeff_matrix(), Mx, My)
+    return QuadResult(complex(value), bound, nodes)
 
 
 def _log_bound(M: int, V: float, n: int) -> float:
@@ -167,19 +133,33 @@ def _log_bound(M: int, V: float, n: int) -> float:
 
 
 def _panel_count(V: float, n: int, tol: float) -> int:
-    """Smallest M whose bound _log_bound(M, V, n) is at most tol (rho on a grid)."""
+    """Smallest M whose bound _log_bound(M, V, n) is at most tol (rho on a grid).
+
+    Raises PanelBudgetError when M panels would hold more than MAX_NODES
+    nodes; the check comes first, so no V, however large, overflows.
+    """
     if V == 0.0:
         return 1
+    slack = math.log(tol) + _RHO_LOG_DECAY
+    if np.max(slack) <= 0.0:
+        raise ValueError(f"tol {tol} is below the reach of the order-12 error bound")
     # at r = 1 the bound solves for h on each rho; that M is exact for n = 1
     # and a lower limit for n > 1, where r > 1
-    slack = math.log(tol) + _RHO_LOG_DECAY
-    h = np.max(slack / (np.pi * V * _RHO_B))
-    if h <= 0.0:
-        raise ValueError(f"tol {tol} is below the reach of the order-12 error bound")
-    M = math.ceil(1.0 / h)
-    while _log_bound(M, V, n) > math.log(tol):
-        M += 1
+    max_panels = MAX_NODES // ORDER_HIGH
+    M = max_panels + 1
+    if V <= np.max(slack / (np.pi * _RHO_B)) * max_panels:
+        M = math.ceil(1.0 / np.max(slack / (np.pi * V * _RHO_B)))
+        while M <= max_panels and _log_bound(M, V, n) > math.log(tol):
+            M += 1
+    if M > max_panels:
+        raise PanelBudgetError(
+            f"phase too large for tolerance {tol}: variation {V:.3g} needs over {MAX_NODES} nodes")
     return M
+
+
+def _bound(M: int, V: float, n: int) -> float:
+    """The error bound exp(_log_bound(M, V, n)); 0 for a direction the phase does not vary in."""
+    return math.exp(_log_bound(M, V, n)) if V else 0.0
 
 
 def batch_osc_m1(n: int, coeff_rows: np.ndarray, tol: float = 1e-8, workers: int = 1):
@@ -191,8 +171,8 @@ def batch_osc_m1(n: int, coeff_rows: np.ndarray, tol: float = 1e-8, workers: int
     phase variation V, M being the smallest panel count whose a-priori
     error bound (_log_bound, at the group's largest V) is at most tol.  So
     every value is within tol of J, up to round-off.  A tol below about
-    1e-77 is out of the bound's reach and raises ValueError.  The phase is
-    reduced to one cycle before the trig.
+    1e-77 raises ValueError, and an M beyond MAX_NODES PanelBudgetError,
+    before any nodes are built.  The phase is reduced to one cycle first.
 
     Each group is cut into chunks of about CHUNK_NODES quadrature nodes, and
     the chunks run on up to `workers` threads.  The cut depends only on the
@@ -211,20 +191,22 @@ def batch_osc_m1(n: int, coeff_rows: np.ndarray, tol: float = 1e-8, workers: int
     V_all = np.abs(rows[:, a_cols + b_cols]) @ np.concatenate([a_pows, b_pows])
     order = np.argsort(V_all, kind="stable")
     V_sorted = V_all[order]
-    tasks = []
+    groups = []
     pos = 0
     while pos < order.size:
         # group samples of similar phase variation so panel counts stay tight
         V_lo = V_sorted[pos]
         end = int(np.searchsorted(V_sorted, max(2.0 * V_lo, V_lo + 4.0), side="right"))
-        sel = order[pos:end]
-        x, wts = _panel_nodes(_panel_count(V_sorted[end - 1], n, tol), _G12, _W12)
+        groups.append((order[pos:end], _panel_count(V_sorted[end - 1], n, tol)))
+        pos = end
+    tasks = []
+    for sel, M in groups:  # every group is within the node budget
+        x, wts = _panel_nodes(M, _G12, _W12)
         # tables of x^i for A and x^i / 2 for B / 2, both in cycles
         xa = x[None, :] ** a_pows[:, None]
         xb = 0.5 * x[None, :] ** b_pows[:, None]
         chunk = max(1, CHUNK_NODES // x.size)
         tasks += [(sel[lo : lo + chunk], xa, xb, wts) for lo in range(0, sel.size, chunk)]
-        pos = end
 
     def run(t: int) -> np.ndarray:
         # exp(2 pi i A) int_0^1 exp(2 pi i B y) dy = e^{2 pi i (A + B/2)} sin(pi B) / (pi B),

@@ -57,6 +57,16 @@ def _shell_bounds(R: float) -> list[tuple[float, float]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _check_radius(R: float, N: int) -> None:
+    """ValueError unless R > 0 and the box volume (2R)^N is a finite float."""
+    try:
+        finite = 0.0 < R and (2.0 * R) ** N < math.inf
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"R must be positive with a finite box volume (2R)^{N}, got {R}")
+
+
 def _sample_shell(rng: np.random.Generator, a: float, b: float, N: int, size: int):
     """Uniform draws from the max-norm shell {a < ||x||_inf <= b}."""
     u = rng.random(size)
@@ -73,12 +83,12 @@ def _abs_J_pow(
 ) -> np.ndarray:
     """|J(alpha)|^(2k) for a batch of coefficient vectors, rows on `workers` threads.
 
-    Each J is within tol.
+    Each J is within tol; a phase linear in x or y takes the batch rule.
     """
+    n, m, rows = quad._orient(n, m, np.atleast_2d(rows))
     if m == 1:
         vals = quad.batch_osc_m1(n, rows, tol=tol, workers=workers)
     else:
-        rows = np.atleast_2d(rows)
         vals = np.array(map_blocks(
             lambda r: quad.osc_integral(PolySpec.from_vector(n, m, rows[r]), tol=tol).value,
             rows.shape[0], workers,
@@ -102,8 +112,8 @@ def theta_truncated(
     of a pilot second moment (about 1% of the budget), rounded by largest
     remainder, so n_samples equals the request unless a shell is raised to
     its floor of 64; the estimator and its standard error combine shells
-    exactly, in fixed order.  Each J is within tol; for m = 1 phases tol
-    sizes the batch rule (see quad.batch_osc_m1).
+    exactly, in fixed order.  Each J is within tol, which sizes its rule
+    (see quad).  The box volume (2R)^N must be a finite float.
 
     Shells and blocks run one after another; `workers` threads share the J
     evaluations of each block (see quad.batch_osc_m1), where the time goes.
@@ -115,12 +125,14 @@ def theta_truncated(
         raise ValueError("n_samples must be >= 1")
     quad._check_tol(tol)
     N = monomial_count(n, m)
+    _check_radius(R, N)
     shells = _shell_bounds(R)
     vols = np.array([(2 * b) ** N - (2 * a) ** N for a, b in shells])
 
     n_pilot_per = max(64, int(0.01 * n_samples) // len(shells))
     pilot_m2 = np.empty(len(shells))
-    for l, (a, b) in enumerate(shells):
+    # outermost first (own streams): a phase beyond the node budget fails at once
+    for l, (a, b) in reversed(list(enumerate(shells))):
         rng = philox_stream(seed, 2, l)
         rows = _sample_shell(rng, a, b, N, n_pilot_per)
         f = _abs_J_pow(n, m, k, rows, tol, workers)
@@ -271,8 +283,8 @@ def growth_diagnostic(
     predicts growth).
     """
     radii = [float(r) for r in radii]
-    if not all(0.0 < r < math.inf for r in radii):
-        raise ValueError("radii must be positive and finite")
+    for r in radii:
+        _check_radius(r, monomial_count(n, m))
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("need at least 3 strictly increasing radii")
     quad._check_tol(tol)

@@ -66,6 +66,15 @@ class TestIntegral:
         code, _ = run_cli(capsys, "integral", str(path))
         assert code == 2
 
+    def test_huge_phase_is_computational_failure(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(PolySpec(1, 2, {(1, 2): 1e300}).to_json_dict()))
+        code = cli.main(["integral", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "phase too large" in captured.err
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "integral", str(tmp_path / "absent.json"))
         assert code == 2
@@ -262,6 +271,9 @@ class TestInputContract:
         ["parseval", "0.3", "inf"], ["parseval", "0.3", "nan"],
         ["theta", "1", "1", "1", "inf"], ["theta", "1", "1", "1", "nan"],
         ["diagnose", "1", "1", "1", "--radii", "2", "4", "inf"],
+        # the box volume (2R)^N overflows a float
+        ["theta", "1", "1", "1", "1e300", "--samples", "200"],
+        ["diagnose", "1", "1", "1", "--radii", "2", "4", "1e300"],
         ["theta", "1"], ["nosuch"], ["theta", "1", "1", "1", "2", "--bogus"],
         ["theta", "1", "1", "1", "x"], ["boxes", "1", "1", "1", "--format", "xml"],
     ])

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tarry2d import quad
 from tarry2d.poly import PolySpec, monomial_count, monomial_indices
@@ -20,6 +22,38 @@ def midpoint_oracle(F, cells):
         vals = np.exp(2j * np.pi * F.eval(X, Y))
         total += vals.sum()
     return total / cells**2
+
+
+def doubling_reference(F, tol):
+    """J of an (n, 1) phase by an a-posteriori rule independent of the library's.
+
+    The x integral of exp(2 pi i A(x)) times the closed-form y integral takes
+    composite Gauss-Legendre rules of orders 12 and 8, starting at half a
+    phase cycle per panel and doubling the panels until the two agree within
+    tol; the order-12 value is returned.
+    """
+    assert F.m == 1
+    a = np.zeros(F.n + 1)
+    b = np.zeros(F.n + 1)
+    for (i, j), v in F.coeffs.items():
+        (b if j else a)[i] = v
+
+    def rule(M, order):
+        g, w = np.polynomial.legendre.leggauss(order)
+        x = ((np.arange(M)[:, None] + (g + 1.0) / 2.0) / M).ravel()
+        A = np.polynomial.polynomial.polyval(x, a)
+        B = np.polynomial.polynomial.polyval(x, b)
+        vals = np.exp(2j * np.pi * A) * (np.exp(1j * np.pi * B) * np.sinc(B))
+        return complex(vals @ np.tile(w / (2.0 * M), M))
+
+    V = sum(abs(v) * (i + j) for (i, j), v in F.coeffs.items())
+    M = max(2, math.ceil(V / 0.5) + 2)
+    while M < 1 << 22:
+        hi = rule(M, 12)
+        if abs(hi - rule(M, 8)) <= tol:
+            return hi
+        M *= 2
+    raise AssertionError(f"reference did not reach tol {tol}")
 
 
 def with_y_coeffs(n, rows, values):
@@ -57,6 +91,14 @@ class TestValues:
         got1 = osc_integral(PolySpec(1, 1, {(1, 1): 3.0}), tol=1e-9).value
         got2 = osc_integral(PolySpec(1, 2, {(1, 1): 3.0}), tol=1e-9).value
         assert got1 == pytest.approx(got2, abs=1e-9)
+
+    def test_tensor_rule_matches_reduced_path(self):
+        # declared (2, 2), the same phase still takes the 2-D tensor rule
+        res = osc_integral(PolySpec(2, 2, {(1, 1): 3.0}), tol=1e-9)
+        M = quad._panel_count(3.0, 2, 0.5e-9)
+        assert res.n_evals == quad.ORDER_HIGH**2 * M * M
+        got1 = osc_integral(PolySpec(1, 1, {(1, 1): 3.0}), tol=1e-9).value
+        assert got1 == pytest.approx(res.value, abs=1e-9)
 
     def test_genuine_2d_phase_against_oracle(self):
         F = PolySpec(2, 2, {(1, 1): 1.2, (2, 2): 0.7, (0, 1): -0.4})
@@ -105,9 +147,80 @@ class TestInvariants:
         with pytest.raises(PanelBudgetError):
             osc_integral(F, tol=1e-12, max_evals=10_000)
 
+    @pytest.mark.parametrize("coeffs", [
+        {(1, 0): 1e300}, {(1, 0): 1e308}, {(1, 1): 1e308}, {(2, 2): 1e300}, {(2, 2): 1e308},
+    ])
+    def test_huge_phase_exceeds_budget_at_once(self, coeffs):
+        n = max(max(ij) for ij in coeffs)
+        with pytest.raises(PanelBudgetError, match="phase too large"):
+            osc_integral(PolySpec(n, n, coeffs), tol=1e-9)
+
+    def test_batch_budget(self):
+        # 1e9 x needs about 3e8 panels; 1e9 y is one panel, its y integral closed
+        with pytest.raises(PanelBudgetError, match="phase too large"):
+            batch_osc_m1(1, [[0.0, 1e9, 0.0]])
+        assert batch_osc_m1(1, [[1e9, 0.0, 0.0]])[0] == 0.0
+
     def test_result_counts_evaluations(self):
         res = osc_integral(PolySpec(1, 1, {(1, 1): 1.0}), tol=1e-8)
         assert res.n_evals >= 1
+
+
+def transpose(F):
+    # F(y, x)
+    return PolySpec(F.m, F.n, {(j, i): v for (i, j), v in F.coeffs.items()})
+
+
+def mp_J(F):
+    # 20-digit J of any phase by a 4 x 4-cell 2-D Gauss-Legendre rule
+    mpmath.mp.dps = 20
+    terms = [(i, j, mpmath.mpf(v)) for (i, j), v in F.coeffs.items()]
+
+    def f(x, y):
+        return mpmath.expjpi(2 * mpmath.fsum(v * x**i * y**j for i, j, v in terms))
+
+    cuts = mpmath.linspace(0, 1, 5)
+    val, err = mpmath.quad(f, cuts, cuts, method="gauss-legendre", error=True)
+    assert err < 1e-13
+    return complex(val)
+
+
+class TestUnifiedRule:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 3), data=st.data())
+    def test_swap_invariance(self, n, m, data):
+        N = monomial_count(n, m)
+        vec = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=N, max_size=N))
+        F = PolySpec.from_vector(n, m, vec)
+        tol = 1e-8
+        got = osc_integral(F, tol=tol).value
+        assert abs(got - osc_integral(transpose(F), tol=tol).value) <= 2 * tol
+
+    def test_tensor_row_chunks(self, monkeypatch):
+        # a rule cut into several row chunks matches the same rule in one chunk
+        F = PolySpec(3, 3, {(3, 3): 40.0, (1, 2): -25.0, (2, 0): 10.0})
+        res = osc_integral(F, tol=1e-9)
+        assert res.n_evals > 4 * quad.CHUNK_NODES
+        monkeypatch.setattr(quad, "CHUNK_NODES", 1 << 40)
+        assert osc_integral(F, tol=1e-9).value == pytest.approx(res.value, abs=1e-12)
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+    def test_tensor_rule_against_mpmath(self, n, m):
+        rng = np.random.default_rng(40 + 4 * n + m)
+        idx = monomial_indices(n, m)
+        vec = rng.uniform(-1.0, 1.0, len(idx))
+        vec *= 12.0 / (np.abs(vec) @ [i + j for i, j in idx])  # about 12 cycles
+        F = PolySpec.from_vector(n, m, vec)
+        want = mp_J(F)
+        Vx = float(np.abs(vec) @ [i for i, _ in idx])
+        Vy = float(np.abs(vec) @ [j for _, j in idx])
+        for tol in (1e-6, 1e-9):
+            res = osc_integral(F, tol=tol)
+            assert abs(res.value - want) <= tol
+            assert res.abs_error_estimate <= tol
+            Mx = quad._panel_count(Vx, n, tol / 2)
+            My = quad._panel_count(Vy, m, tol / 2)
+            assert res.n_evals == 144 * Mx * My
 
 
 class TestBatch:
@@ -125,7 +238,7 @@ class TestBatch:
         for workers in (2, 4):
             assert batch_osc_m1(1, rows, workers=workers).tobytes() == got.tobytes()
         for row, g in zip(rows, got):
-            want = osc_integral(PolySpec.from_vector(1, 1, row), tol=1e-9).value
+            want = doubling_reference(PolySpec.from_vector(1, 1, row), tol=1e-9)
             assert g == pytest.approx(want, abs=1e-7)
 
     def test_batch_degree_2(self):
@@ -135,7 +248,7 @@ class TestBatch:
         rows[3:6] = with_y_coeffs(2, rows[3:6], rng.uniform(-2e-12, 2e-12, (3, 3)))
         got = batch_osc_m1(2, rows)
         for row, g in zip(rows, got):
-            want = osc_integral(PolySpec.from_vector(2, 1, row), tol=1e-9).value
+            want = doubling_reference(PolySpec.from_vector(2, 1, row), tol=1e-9)
             assert g == pytest.approx(want, abs=1e-7)
 
     def test_antithetic_exactness(self):
@@ -177,7 +290,7 @@ class TestBatchRule:
         rng = np.random.default_rng(30 + n)
         rows = rows_spanning_variation(rng, n, 400.0, 41)
         ref = np.array([
-            osc_integral(PolySpec.from_vector(n, 1, r), tol=1e-13).value for r in rows
+            doubling_reference(PolySpec.from_vector(n, 1, r), tol=1e-13) for r in rows
         ])
         for tol in (1e-4, 1e-6, 1e-9, 1e-12):
             assert np.max(np.abs(batch_osc_m1(n, rows, tol=tol) - ref)) <= tol
