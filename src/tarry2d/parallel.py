@@ -8,13 +8,21 @@ the blocks spend their time in numpy calls that release the interpreter lock.
 
 from __future__ import annotations
 
+_pools: dict = {}  # one thread pool per worker count, kept for the process
+
 
 def map_blocks(fn, n_blocks: int, workers: int) -> list:
-    """[fn(0), ..., fn(n_blocks - 1)], run on up to `workers` threads."""
+    """[fn(0), ..., fn(n_blocks - 1)], run on up to `workers` threads.
+
+    fn must not itself call map_blocks with workers > 1: its blocks would wait
+    on the pool that runs it.
+    """
     if workers <= 1 or n_blocks <= 1:
         return [fn(b) for b in range(n_blocks)]
-    # imported here: concurrent.futures loads logging, about 5 ms of every CLI start
-    from concurrent.futures import ThreadPoolExecutor
+    pool = _pools.get(workers)
+    if pool is None:
+        # imported here: concurrent.futures loads logging, about 5 ms of every CLI start
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(n_blocks)))
+        pool = _pools[workers] = ThreadPoolExecutor(max_workers=workers)
+    return list(pool.map(fn, range(n_blocks)))

@@ -1,22 +1,24 @@
 """Oscillatory double integral over the unit square with polynomial phase.
 
-J = int_0^1 int_0^1 exp(2 pi i F(x, y)) dx dy is evaluated by order-12
-Gauss-Legendre panels sized a priori from tol: a direction of degree n and
-phase variation V gets the fewest panels M whose Bernstein-ellipse error
-bound exp(_log_bound(M, V, n)) meets its share of tol (_panel_count).
+J = int_0^1 int_0^1 exp(2 pi i F(x, y)) dx dy is evaluated by composite
+Gauss-Legendre rules sized a priori from tol: a direction of degree n and
+phase variation V gets the order q in ORDERS and M panels, the fewest nodes
+q M whose Bernstein-ellipse error bound exp(_log_bound(q, M, V, n)) meets
+its share of tol (_size, vectorised over phases).
 
 A phase with n == 1 < m is first swapped to F(y, x) (_orient).  A phase
 linear in y closes its inner integral, so only x takes a rule, sized at tol
-with V = sum i |a_ij| (batch_osc_m1, many phases at once).  Any other takes
-an Mx x My tensor rule: from Q - I = Qx (Qy - Iy) + (Qx - Ix) Iy, with
-weights positive and summing to 1, its error is at most E(Mx; Vx, n) +
-E(My; Vy, m), Vx = sum i |a_ij|, Vy = sum j |a_ij|, each sized at tol / 2.
-A panel count beyond the MAX_NODES budget raises PanelBudgetError before
-any node is built.
+with V = sum i |a_ij| (batch_osc_m1: many phases, each on its own rule).  Any
+other takes a (qx Mx) x (qy My) tensor rule: from Q - I = Qx (Qy - Iy) +
+(Qx - Ix) Iy, with weights positive and summing to 1, its error is at most
+E(qx, Mx; Vx, n) + E(qy, My; Vy, m), Vx = sum i |a_ij|, Vy = sum j |a_ij|,
+each sized at tol / 2.  A rule beyond the MAX_NODES budget raises
+PanelBudgetError before any node is built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,19 +27,18 @@ import numpy as np
 from .parallel import map_blocks
 from .poly import PolySpec, monomial_indices
 
-PHASE_CYCLES_PER_PANEL = 0.5  # parseval_check's x panels
-ORDER_HIGH = 12
+ORDERS = (8, 12, 16, 24, 32)  # Gauss-Legendre orders a rule may take
 # Nodes per batch_osc_m1 task and tensor-rule chunk: work arrays stay in a 2 MB L2.
 CHUNK_NODES = 1 << 16
 MAX_NODES = 1 << 26  # node budget of one J, and of each direction of the tensor rule
-
-_G12, _W12 = np.polynomial.legendre.leggauss(ORDER_HIGH)
+_TABLE = 32  # panel counts _size tabulates per (n, tol) for n > 1
 
 # Bernstein ellipse parameters for the error bound (see _log_bound):
-# b = (rho - 1/rho) / 2 and log of rho^(2 ORDER_HIGH) (rho^2 - 1) 15/32
+# b = (rho - 1/rho) / 2 and, per order q (rows), log of rho^(2q - 2) (rho^2 - 1) 15/32
 _RHO = 1.0 + np.geomspace(1e-2, 1e3, 256)
 _RHO_B = 0.5 * (_RHO - 1.0 / _RHO)
-_RHO_LOG_DECAY = 2 * ORDER_HIGH * np.log(_RHO) + np.log(_RHO**2 - 1.0) + math.log(15 / 32)
+_RHO_LOG_DECAY = (2 * np.log(_RHO) * (np.array(ORDERS)[:, None] - 1)
+                  + np.log(_RHO**2 - 1.0) + math.log(15 / 32))
 
 
 class PanelBudgetError(RuntimeError):
@@ -54,6 +55,12 @@ class QuadResult:
     value: complex
     abs_error_estimate: float
     n_evals: int
+
+
+@functools.cache
+def _gauss(q: int):
+    """Gauss-Legendre nodes and weights of order q on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(q)
 
 
 def _panel_nodes(M: int, g: np.ndarray, w: np.ndarray):
@@ -73,10 +80,9 @@ def _orient(n: int, m: int, rows: np.ndarray):
     return m, n, rows[..., [pos[(j, i)] for i, j in monomial_indices(m, n)]]
 
 
-def _eval_tensor(C: np.ndarray, Mx: int, My: int) -> complex:
-    """Mx x My-panel order-12 tensor rule for the coefficient matrix C, in row chunks."""
-    x, wx = _panel_nodes(Mx, _G12, _W12)
-    y, wy = _panel_nodes(My, _G12, _W12)
+def _eval_tensor(C: np.ndarray, rule_x, rule_y) -> complex:
+    """Tensor rule of (nodes, weights) rule_x and rule_y for coefficients C, in CHUNK_NODES chunks."""
+    (x, wx), (y, wy) = rule_x, rule_y
     step = max(1, CHUNK_NODES // y.size)
     total = 0.0 + 0.0j
     for lo in range(0, x.size, step):
@@ -87,11 +93,11 @@ def _eval_tensor(C: np.ndarray, Mx: int, My: int) -> complex:
 
 
 def osc_integral(F: PolySpec, tol: float = 1e-8, max_evals: int = MAX_NODES) -> QuadResult:
-    """J(F) within tol by the rule of the module docstring (m = 1: batch_osc_m1).
+    """J(F) within tol by the rule of the module docstring, sized once.
 
-    abs_error_estimate is its a-priori bound (at most tol), n_evals its node
-    count.  Raises PanelBudgetError, before building any node, when that
-    count would exceed max_evals.  Deterministic for fixed inputs.
+    abs_error_estimate is that rule's a-priori bound (at most tol), n_evals
+    its node count.  Raises PanelBudgetError, before building any node, when
+    that count would exceed max_evals.  Deterministic for fixed inputs.
     """
     _check_tol(tol)
     n, m, row = _orient(F.n, F.m, F.coeff_vector())
@@ -99,143 +105,155 @@ def osc_integral(F: PolySpec, tol: float = 1e-8, max_evals: int = MAX_NODES) -> 
         return QuadResult(1.0 + 0.0j, 0.0, 1)
     with np.errstate(over="ignore"):  # an infinite variation raises PanelBudgetError
         Vx, Vy = np.abs(row) @ np.array(monomial_indices(n, m))
-    if m == 1:
-        M = _panel_count(Vx, n, tol)
-        nodes, bound = ORDER_HIGH * M, _bound(M, Vx, n)
-    else:
-        Mx, My = _panel_count(Vx, n, tol / 2), _panel_count(Vy, m, tol / 2)
-        nodes, bound = ORDER_HIGH**2 * Mx * My, _bound(Mx, Vx, n) + _bound(My, Vy, m)
+    rules, bound = [], 0.0  # (q, M) of x, then of y for the tensor rule
+    for V, d in [(Vx, n), (Vy, m)][: 1 + (m > 1)]:
+        (q,), (M,) = _size(V, d, tol if m == 1 else tol / 2)
+        rules.append((q, M))
+        bound += math.exp(_log_bound(q, M, V, d)) if V else 0.0  # 0 where F does not vary
+    nodes = math.prod(int(q * M) for q, M in rules)
     if nodes > max_evals:
         raise PanelBudgetError(f"phase too large for tolerance {tol}: {nodes} nodes > {max_evals}")
     if m == 1:
-        # rows passed positionally: perfbench's spans read them from args[1]
-        value = batch_osc_m1(n, row[None, :], tol)[0]
+        value = _kernel(row[None, :], *_m1_tables(n, *rules[0]))[0]
     else:
-        value = _eval_tensor(F.coeff_matrix(), Mx, My)
+        value = _eval_tensor(F.coeff_matrix(), *(_panel_nodes(M, *_gauss(q)) for q, M in rules))
     return QuadResult(complex(value), bound, nodes)
 
 
-def _log_bound(M: int, V: float, n: int) -> float:
-    """Log of the order-12 Gauss-Legendre error bound for M panels, minimised over rho.
+def _rate(M, n: int) -> np.ndarray:
+    """log K / V on each rho of the grid (last axis) for M panels; see _log_bound."""
+    h = 1.0 / np.asarray(M, dtype=float)[..., None]
+    return np.pi * h * _RHO_B * (1.0 + 0.5 * h * (_RHO - 1.0)) ** (n - 1)
+
+
+def _log_bound(q: int, M: int, V: float, n: int) -> float:
+    """Log of the order-q Gauss-Legendre error bound for M panels, minimised over rho.
 
     The m = 1 integrand g(x) = exp(2 pi i A(x)) int_0^1 exp(2 pi i B(x) y) dy
     has |g(z)| <= exp(2 pi (|Im A(z)| + |Im B(z)|)).  The Bernstein ellipse
     E_rho of a panel of width h = 1/M holds |Im z| <= h b / 2 with
     b = (rho - 1/rho) / 2 and |z| <= r = 1 + h (rho - 1) / 2, so there
     |Im A| + |Im B| <= (h b / 2) V r^(n-1), where V = sum i (|a_i| + |b_i|).
-    Trefethen (ATAP, Thm 19.3) bounds the error on one panel by
-    (h / 2) (64/15) K rho^-24 / (rho^2 - 1), and the M panels sum to
-    (32/15) K rho^-24 / (rho^2 - 1) with log K = pi h b V r^(n-1).
+    Trefethen (ATAP, Thm 19.3, whose n + 1 nodes are q here) bounds the
+    error of q nodes on one panel by (h / 2) (64/15) K rho^(2 - 2q) / (rho^2 - 1),
+    and the M panels sum to (32/15) K rho^(2 - 2q) / (rho^2 - 1) with
+    log K = pi h b V r^(n-1).
     """
-    h = 1.0 / M
-    log_k = (np.pi * h * V) * _RHO_B * (1.0 + 0.5 * h * (_RHO - 1.0)) ** (n - 1)
-    return float(np.min(log_k - _RHO_LOG_DECAY))
+    return float(np.min(V * _rate(M, n) - _RHO_LOG_DECAY[ORDERS.index(q)]))
 
 
-def _panel_count(V: float, n: int, tol: float) -> int:
-    """Smallest M whose bound _log_bound(M, V, n) is at most tol (rho on a grid).
-
-    Raises PanelBudgetError when M panels would hold more than MAX_NODES
-    nodes; the check comes first, so no V, however large, overflows.
-    """
-    if V == 0.0:
-        return 1
+@functools.lru_cache(maxsize=64)
+def _reach(n: int, tol: float):
+    """slack = log tol + log decay per order (rows) and rho; c_q, the variation
+    one panel holds at r = 1; T[o, M - 1], the largest V that M = 1.._TABLE
+    panels of order ORDERS[o] hold at tol (the bound is linear in V at fixed rho)."""
     slack = math.log(tol) + _RHO_LOG_DECAY
-    if np.max(slack) <= 0.0:
-        raise ValueError(f"tol {tol} is below the reach of the order-12 error bound")
-    # at r = 1 the bound solves for h on each rho; that M is exact for n = 1
-    # and a lower limit for n > 1, where r > 1
-    max_panels = MAX_NODES // ORDER_HIGH
-    M = max_panels + 1
-    if V <= np.max(slack / (np.pi * _RHO_B)) * max_panels:
-        M = math.ceil(1.0 / np.max(slack / (np.pi * V * _RHO_B)))
-        while M <= max_panels and _log_bound(M, V, n) > math.log(tol):
-            M += 1
-    if M > max_panels:
+    T = np.max(slack[:, None, :] / _rate(np.arange(1.0, _TABLE + 1), n), axis=-1)
+    return slack, np.max(slack / _rate(1, 1), axis=1), T
+
+
+def _size(V, n: int, tol: float):
+    """(q, M) per variation in V: the fewest nodes q M, q in ORDERS, whose
+    bound _log_bound(q, M, V, n) is at most tol (ties to the lower order).
+
+    M panels hold V up to M c_q at r = 1, so M = ceil(V / c_q), exact for
+    n = 1 and a lower limit for n > 1, where T gives M up to _TABLE and larger
+    M step up.  ValueError if tol is beyond every order's reach;
+    PanelBudgetError if a V needs over MAX_NODES nodes at every order,
+    checked before any product V overflows.
+    """
+    V = np.atleast_1d(np.asarray(V, dtype=float))
+    slack, c, T = _reach(n, tol)
+    if c[-1] <= 0.0:
+        raise ValueError(f"tol {tol} is below the reach of the error bound")
+    q = np.array(ORDERS)[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        M = np.maximum(np.ceil(V / c[:, None]), 1.0)  # orders x rows
+    for o in np.flatnonzero(c > 0.0) if n > 1 else ():
+        M[o] = np.maximum(M[o], np.searchsorted(T[o], V) + 1.0)
+        live = np.flatnonzero((M[o] > _TABLE) & (M[o] <= MAX_NODES // q[o]))
+        while live.size:  # rows beyond the table still short of tol take one more panel
+            Ms, at = np.unique(M[o, live], return_inverse=True)
+            live = live[V[live] > np.max(slack[o] / _rate(Ms, n), axis=1)[at]]
+            M[o, live] += 1.0
+    M[~((M <= MAX_NODES // q) & (c[:, None] > 0.0))] = np.inf  # over budget, nan V, or out of reach
+    best = np.argmin(q * M, axis=0)  # fewest nodes; ties to the lower order
+    M = M[best, np.arange(V.size)]
+    if not np.all(np.isfinite(M)):
         raise PanelBudgetError(
-            f"phase too large for tolerance {tol}: variation {V:.3g} needs over {MAX_NODES} nodes")
-    return M
+            f"phase too large for tolerance {tol}: variation "
+            f"{np.max(V[~np.isfinite(M)]):.3g} needs over {MAX_NODES} nodes")
+    return q[best, 0], M.astype(np.int64)
 
 
-def _bound(M: int, V: float, n: int) -> float:
-    """The error bound exp(_log_bound(M, V, n)); 0 for a direction the phase does not vary in."""
-    return math.exp(_log_bound(M, V, n)) if V else 0.0
+def _m1_tables(n: int, q: int, M: int):
+    """x-power tables of A and of B / 2 (zero in the other's columns) and weights, M-panel order-q rule."""
+    x, wts = _panel_nodes(M, *_gauss(q))
+    i, j = np.array(monomial_indices(n, 1)).T[:, :, None]
+    return np.where(j == 0, x**i, 0.0), np.where(j == 1, 0.5 * x**i, 0.0), wts
+
+
+def _kernel(rows: np.ndarray, xa, xb, wts) -> np.ndarray:
+    """J of rows on one rule, in three rows x nodes work arrays: exp(2 pi i A) int_0^1
+    exp(2 pi i B y) dy = e^{2 pi i (A + B/2)} sin(pi B) / (pi B), with A + B/2 and
+    B/2 reduced by rint (odd, so J(-F) = conj J(F) bitwise)."""
+    half_b = rows @ xb
+    phase = rows @ xa
+    phase += half_b
+    work = np.rint(phase)
+    phase -= work
+    phase *= 2.0 * np.pi
+    np.rint(half_b, out=work)
+    np.subtract(half_b, work, out=work)
+    work *= 2.0 * np.pi
+    sinc = np.sin(work, out=work)
+    pi_b = np.multiply(half_b, 2.0 * np.pi, out=half_b)
+    zero = pi_b == 0.0
+    pi_b[zero] = 1.0
+    sinc[zero] = 1.0
+    sinc /= pi_b
+    work = np.cos(phase, out=pi_b)  # pi_b's buffer: three arrays per segment
+    work *= sinc
+    re = work @ wts
+    np.sin(phase, out=work)
+    work *= sinc
+    return re + 1j * (work @ wts)
 
 
 def batch_osc_m1(n: int, coeff_rows: np.ndarray, tol: float = 1e-8, workers: int = 1):
     """J values for a batch of coefficient vectors of (n, 1)-degree phases.
 
     coeff_rows has shape (S, N) in the graded index order.  The inner y
-    integral is closed in elementary form; the remaining x integral uses an
-    M-panel order-12 Gauss-Legendre rule per group of rows with similar
-    phase variation V, M being the smallest panel count whose a-priori
-    error bound (_log_bound, at the group's largest V) is at most tol.  So
-    every value is within tol of J, up to round-off.  A tol below about
-    1e-77 raises ValueError, and an M beyond MAX_NODES PanelBudgetError,
-    before any nodes are built.  The phase is reduced to one cycle first.
+    integral is closed in elementary form; the x integral takes, row by row,
+    the rule _size gives the row's phase variation V, whose a-priori error
+    bound is at most tol, so every value is within tol of J up to round-off.
+    A tol below about 1e-191 raises ValueError, and a rule beyond MAX_NODES
+    PanelBudgetError, before any node is built.
 
-    Each group is cut into chunks of about CHUNK_NODES quadrature nodes, and
-    the chunks run on up to `workers` threads.  The cut depends only on the
-    rows and tol, so every value is bitwise independent of `workers`.
+    Rows sorted by rule (q, M) are cut into tasks of about CHUNK_NODES nodes,
+    which may span rules, and the tasks run on up to `workers` threads.  The
+    cut depends only on the rows and tol, so every value is bitwise
+    independent of `workers`.
     """
     _check_tol(tol)
     rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
-    idx = monomial_indices(n, 1)
-    a_cols = [c for c, (i, j) in enumerate(idx) if j == 0]
-    b_cols = [c for c, (i, j) in enumerate(idx) if j == 1]
-    a_pows = np.array([idx[c][0] for c in a_cols])
-    b_pows = np.array([idx[c][0] for c in b_cols])
-    rows_a = rows[:, a_cols]
-    rows_b = rows[:, b_cols]
-
-    V_all = np.abs(rows[:, a_cols + b_cols]) @ np.concatenate([a_pows, b_pows])
-    order = np.argsort(V_all, kind="stable")
-    V_sorted = V_all[order]
-    groups = []
-    pos = 0
-    while pos < order.size:
-        # group samples of similar phase variation so panel counts stay tight
-        V_lo = V_sorted[pos]
-        end = int(np.searchsorted(V_sorted, max(2.0 * V_lo, V_lo + 4.0), side="right"))
-        groups.append((order[pos:end], _panel_count(V_sorted[end - 1], n, tol)))
-        pos = end
-    tasks = []
-    for sel, M in groups:  # every group is within the node budget
-        x, wts = _panel_nodes(M, _G12, _W12)
-        # tables of x^i for A and x^i / 2 for B / 2, both in cycles
-        xa = x[None, :] ** a_pows[:, None]
-        xb = 0.5 * x[None, :] ** b_pows[:, None]
-        chunk = max(1, CHUNK_NODES // x.size)
-        tasks += [(sel[lo : lo + chunk], xa, xb, wts) for lo in range(0, sel.size, chunk)]
+    with np.errstate(over="ignore"):  # an infinite variation raises PanelBudgetError
+        V = np.abs(rows) @ np.array([i for i, _ in monomial_indices(n, 1)], dtype=float)
+    q, M = _size(V, n, tol)
+    order = np.lexsort((M, q))
+    rows, q, M = rows[order], q[order], M[order]
+    nodes = q * M
+    task = (np.cumsum(nodes) - nodes) // CHUNK_NODES  # by the row's first node
+    # segments: runs of rows on one rule within one task
+    lo = np.flatnonzero(np.diff(task, prepend=-1) | np.diff(q, prepend=0) | np.diff(M, prepend=0))
+    hi = np.append(lo[1:], q.size)
+    tasks = np.split(np.arange(lo.size), np.flatnonzero(np.diff(task[lo])) + 1)
+    tables = {rule: _m1_tables(n, *rule) for rule in zip(q[lo], M[lo])}  # built once per call
 
     def run(t: int) -> np.ndarray:
-        # exp(2 pi i A) int_0^1 exp(2 pi i B y) dy = e^{2 pi i (A + B/2)} sin(pi B) / (pi B),
-        # with A + B/2 and B/2 reduced by rint (odd, so J(-F) = conj J(F) bitwise)
-        ss, xa, xb, wts = tasks[t]
-        half_b = rows_b[ss] @ xb
-        phase = rows_a[ss] @ xa
-        phase += half_b
-        work = np.rint(phase)
-        phase -= work
-        phase *= 2.0 * np.pi
-        np.rint(half_b, out=work)
-        np.subtract(half_b, work, out=work)
-        work *= 2.0 * np.pi
-        sinc = np.sin(work, out=work)
-        pi_b = half_b
-        pi_b *= 2.0 * np.pi
-        zero = pi_b == 0.0
-        pi_b[zero] = 1.0
-        sinc[zero] = 1.0
-        sinc /= pi_b
-        work = np.cos(phase, out=pi_b)  # pi_b's buffer: three arrays per task
-        work *= sinc
-        re = work @ wts
-        np.sin(phase, out=work)
-        work *= sinc
-        return re + 1j * (work @ wts)
+        return np.concatenate([
+            _kernel(rows[lo[s] : hi[s]], *tables[q[lo[s]], M[lo[s]]]) for s in tasks[t]])
 
-    out = np.empty(rows.shape[0], dtype=complex)
-    for (ss, *_), vals in zip(tasks, map_blocks(run, len(tasks), workers)):
-        out[ss] = vals
+    out = np.empty(q.size, dtype=complex)
+    out[order] = np.concatenate(map_blocks(run, len(tasks), workers))
     return out

@@ -21,7 +21,10 @@ from .parallel import map_blocks
 from .poly import PolySpec, critical_threshold, monomial_count
 from .rng import philox_stream
 
-_BLOCK = 1 << 13
+_BLOCK = 1 << 13  # main draws per stream
+_CALL_BLOCKS = 8  # blocks per J call: at most 2^16 rows
+_PARSEVAL_ORDER = 12  # Gauss-Legendre order of parseval_check's panels
+_PARSEVAL_CYCLES_PER_PANEL = 0.5  # phase cycles per x panel in parseval_check
 _PARSEVAL_ROWS = 1024  # rows of [cr; ci] per GEMM in parseval_check
 
 
@@ -115,9 +118,10 @@ def theta_truncated(
     exactly, in fixed order.  Each J is within tol, which sizes its rule
     (see quad).  The box volume (2R)^N must be a finite float.
 
-    Shells and blocks run one after another; `workers` threads share the J
-    evaluations of each block (see quad.batch_osc_m1), where the time goes.
-    The result is bitwise independent of `workers`.
+    J is evaluated on all pilot rows in one call, then on the main draws
+    _CALL_BLOCKS blocks of _BLOCK rows at a time; `workers` threads share the
+    tasks of each call (see quad.batch_osc_m1), where the time goes.  The
+    result is bitwise independent of `workers`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -130,13 +134,12 @@ def theta_truncated(
     vols = np.array([(2 * b) ** N - (2 * a) ** N for a, b in shells])
 
     n_pilot_per = max(64, int(0.01 * n_samples) // len(shells))
-    pilot_m2 = np.empty(len(shells))
-    # outermost first (own streams): a phase beyond the node budget fails at once
-    for l, (a, b) in reversed(list(enumerate(shells))):
-        rng = philox_stream(seed, 2, l)
-        rows = _sample_shell(rng, a, b, N, n_pilot_per)
-        f = _abs_J_pow(n, m, k, rows, tol, workers)
-        pilot_m2[l] = float(np.mean(f * f))
+    # every shell's pilot rows in one J call, so a phase beyond the node budget
+    # fails before any node is built (each shell draws from its own stream)
+    f = _abs_J_pow(n, m, k, np.concatenate([
+        _sample_shell(philox_stream(seed, 2, l), a, b, N, n_pilot_per)
+        for l, (a, b) in enumerate(shells)]), tol, workers)
+    pilot_m2 = np.mean((f * f).reshape(len(shells), n_pilot_per), axis=1)
 
     main_budget = max(n_samples - n_pilot_per * len(shells), len(shells) * 64)
     w = vols * np.sqrt(pilot_m2)
@@ -150,26 +153,24 @@ def theta_truncated(
     alloc[np.argsort(alloc - share, kind="stable")[:short]] += 1
     alloc = np.maximum(alloc, 64)
 
-    def run_shell(l: int):
-        a, b = shells[l]
-        tot = 0.0
-        tot2 = 0.0
-        n_l = int(alloc[l])
-        n_blocks = (n_l + _BLOCK - 1) // _BLOCK
-        for blk in range(n_blocks):
-            size = min(_BLOCK, n_l - blk * _BLOCK)
-            rng = philox_stream(seed, 3, l, blk)
-            rows = _sample_shell(rng, a, b, N, size)
-            f = _abs_J_pow(n, m, k, rows, tol, workers)
-            tot += float(f.sum())
-            tot2 += float((f * f).sum())
-        mean = tot / n_l
-        var = max(tot2 / n_l - mean * mean, 0.0) / n_l
-        return mean, var
-
-    stats = [run_shell(l) for l in range(len(shells))]
-    value = float(sum(vols[l] * stats[l][0] for l in range(len(shells))))
-    var = float(sum(vols[l] ** 2 * stats[l][1] for l in range(len(shells))))
+    # main draws in blocks of _BLOCK rows, each from its own stream; J is
+    # evaluated on _CALL_BLOCKS whole blocks per call
+    blocks = [(l, blk, min(_BLOCK, alloc[l] - blk * _BLOCK))
+              for l in range(len(shells)) for blk in range(-(-alloc[l] // _BLOCK))]
+    tot = np.zeros(len(shells))
+    tot2 = np.zeros(len(shells))
+    for c in range(0, len(blocks), _CALL_BLOCKS):
+        call = blocks[c : c + _CALL_BLOCKS]
+        rows = [_sample_shell(philox_stream(seed, 3, l, blk), *shells[l], N, size)
+                for l, blk, size in call]
+        f = _abs_J_pow(n, m, k, np.concatenate(rows), tol, workers)
+        for (l, _, _), fb in zip(call, np.split(f, np.cumsum([len(r) for r in rows])[:-1])):
+            tot[l] += float(fb.sum())
+            tot2[l] += float((fb * fb).sum())
+    mean = tot / alloc
+    var_l = np.maximum(tot2 / alloc - mean * mean, 0.0) / alloc
+    value = float(sum(vols[l] * mean[l] for l in range(len(shells))))
+    var = float(sum(vols[l] ** 2 * var_l[l] for l in range(len(shells))))
     return ThetaEstimate(
         n=n, m=m, k=k, radius=float(R), value=value,
         std_error=math.sqrt(var),
@@ -195,16 +196,16 @@ def parseval_check(gamma: float, R: float, tol: float = 1e-3) -> float:
     quad._check_tol(tol)
 
     def compute(mx_panels: int, mb_panels: int) -> float:
-        x, wx = quad._panel_nodes(mx_panels, quad._G12, quad._W12)
+        g, w = np.polynomial.legendre.leggauss(_PARSEVAL_ORDER)
+        x, wx = quad._panel_nodes(mx_panels, g, w)
         # kernel of the analytic a-integral: int_{-R}^{R} e^{2 pi i a d} da
         diff = x[:, None] - x[None, :]
         K = 2.0 * R * np.sinc(2.0 * R * diff)
         Kw = (wx[:, None] * wx[None, :]) * K
-        gb, wb = np.polynomial.legendre.leggauss(quad.ORDER_HIGH)
         offs = np.linspace(-R, R, mb_panels + 1)
         lo, hi = offs[:-1, None], offs[1:, None]
-        beta = ((lo + hi) / 2.0 + (hi - lo) / 2.0 * gb).ravel()
-        wts = ((hi - lo) / 2.0 * wb).ravel()
+        beta = ((lo + hi) / 2.0 + (hi - lo) / 2.0 * g).ravel()
+        wts = ((hi - lo) / 2.0 * w).ravel()
         # c = exp(i pi t) sinc(t) with t = beta + gamma x.  Kw is real and
         # symmetric, so Re(c Kw c^H) = cr Kw cr^T + ci Kw ci^T: one real GEMM
         # of [cr; ci] against Kw, in row blocks so memory stays near that of K
@@ -219,7 +220,7 @@ def parseval_check(gamma: float, R: float, tol: float = 1e-3) -> float:
             mass[s : s + step] = q[: len(t)] + q[len(t) :]
         return float(wts @ mass)
 
-    mx = max(8, int(np.ceil((R + abs(gamma)) / quad.PHASE_CYCLES_PER_PANEL)) + 4)
+    mx = max(8, int(np.ceil((R + abs(gamma)) / _PARSEVAL_CYCLES_PER_PANEL)) + 4)
     mb = max(8, int(np.ceil(2.0 * R)))
     val = compute(mx, mb)
     for _ in range(3):

@@ -95,8 +95,8 @@ class TestValues:
     def test_tensor_rule_matches_reduced_path(self):
         # declared (2, 2), the same phase still takes the 2-D tensor rule
         res = osc_integral(PolySpec(2, 2, {(1, 1): 3.0}), tol=1e-9)
-        M = quad._panel_count(3.0, 2, 0.5e-9)
-        assert res.n_evals == quad.ORDER_HIGH**2 * M * M
+        (q,), (M,) = quad._size(3.0, 2, 0.5e-9)
+        assert res.n_evals == (q * M) ** 2
         got1 = osc_integral(PolySpec(1, 1, {(1, 1): 3.0}), tol=1e-9).value
         assert got1 == pytest.approx(res.value, abs=1e-9)
 
@@ -198,7 +198,7 @@ class TestUnifiedRule:
 
     def test_tensor_row_chunks(self, monkeypatch):
         # a rule cut into several row chunks matches the same rule in one chunk
-        F = PolySpec(3, 3, {(3, 3): 40.0, (1, 2): -25.0, (2, 0): 10.0})
+        F = PolySpec(3, 3, {(3, 3): 50.0, (1, 2): -25.0, (2, 0): 10.0})
         res = osc_integral(F, tol=1e-9)
         assert res.n_evals > 4 * quad.CHUNK_NODES
         monkeypatch.setattr(quad, "CHUNK_NODES", 1 << 40)
@@ -218,9 +218,9 @@ class TestUnifiedRule:
             res = osc_integral(F, tol=tol)
             assert abs(res.value - want) <= tol
             assert res.abs_error_estimate <= tol
-            Mx = quad._panel_count(Vx, n, tol / 2)
-            My = quad._panel_count(Vy, m, tol / 2)
-            assert res.n_evals == 144 * Mx * My
+            (qx,), (Mx,) = quad._size(Vx, n, tol / 2)
+            (qy,), (My,) = quad._size(Vy, m, tol / 2)
+            assert res.n_evals == qx * Mx * qy * My
 
 
 class TestBatch:
@@ -253,10 +253,26 @@ class TestBatch:
 
     def test_antithetic_exactness(self):
         rng = np.random.default_rng(12)
-        rows = rng.uniform(-10, 10, (30, 3))
+        rows = np.vstack([rng.uniform(-10, 10, (30, 3)), rows_spanning_variation(rng, 1, 400, 600)])
+        assert_spans_orders_and_tasks(1, rows, 1e-8)
         a = np.abs(batch_osc_m1(1, rows))
         b = np.abs(batch_osc_m1(1, -rows))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_worker_invariance_across_orders_and_tasks(self, n):
+        rows = rows_spanning_variation(np.random.default_rng(13 + n), n, 400, 600)
+        assert_spans_orders_and_tasks(n, rows, 1e-8)
+        got = batch_osc_m1(n, rows, workers=1)
+        for workers in (2, 4):
+            assert batch_osc_m1(n, rows, workers=workers).tobytes() == got.tobytes()
+
+
+def assert_spans_orders_and_tasks(n, rows, tol):
+    # the rows take at least three Gauss orders and fill at least three tasks
+    q, M = quad._size(np.abs(rows) @ [i for i, _ in monomial_indices(n, 1)], n, tol)
+    assert len(set(q.tolist())) >= 3
+    assert np.sum(q * M) > 3 * quad.CHUNK_NODES
 
 
 def rows_spanning_variation(rng, n, V_max, count):
@@ -303,28 +319,67 @@ class TestBatchRule:
             got = batch_osc_m1(n, rows, tol=tol)[0]
             assert abs(got - mp_J_m1(n, rows[0])) <= tol
 
+    @pytest.mark.parametrize("q", quad.ORDERS)
+    def test_bound_covers_rule_error(self, q):
+        # the q-node rule on e^{2 pi i a x^n} errs by at most exp(_log_bound) (ATAP
+        # Thm 19.3 counts n + 1 nodes), against a 1024-node reference rule
+        xr, wr = quad._panel_nodes(16, *np.polynomial.legendre.leggauss(64))
+        for n in (1, 2):
+            for M in (1, 2, 3):
+                x, wts = quad._panel_nodes(M, *np.polynomial.legendre.leggauss(q))
+                for a in np.linspace(0.05, 6.0 * M, 120):
+                    err = abs(wts @ np.exp(2j * np.pi * a * x**n) - wr @ np.exp(2j * np.pi * a * xr**n))
+                    assert err <= math.exp(quad._log_bound(q, M, n * a, n)) + 1e-14
+
     def test_panel_count_grows_as_tol_tightens(self):
+        V = np.array([0.0, 0.3, 5.0, 20.0, 80.0, 320.0, 1000.0])
         for n in (1, 2, 3):
-            for V in (0.0, 0.3, 5.0, 20.0, 80.0, 320.0, 1000.0):
-                M = [quad._panel_count(V, n, tol) for tol in 10.0 ** -np.arange(2.0, 15.0)]
-                assert all(a <= b for a, b in zip(M, M[1:]))
-                assert M[0] >= 1
+            nodes = [np.prod(quad._size(V, n, tol), axis=0) for tol in 10.0 ** -np.arange(2.0, 15.0)]
+            assert all(np.all(a <= b) for a, b in zip(nodes, nodes[1:]))
+            assert np.all(nodes[0] >= min(quad.ORDERS))
 
     def test_panel_count_is_smallest_meeting_tol(self):
+        # the chosen (q, M) meets the bound; no (q', M') with fewer nodes, or as few
+        # at a lower order, does.  The bound falls as M grows, so each q' is checked
+        # at its largest such M'
         for n in (1, 2, 3):
-            for V in (0.3, 20.0, 320.0):
-                for tol in (1e-4, 1e-9):
-                    M = quad._panel_count(V, n, tol)
-                    assert quad._log_bound(M, V, n) <= math.log(tol)
-                    assert M == 1 or quad._log_bound(M - 1, V, n) > math.log(tol)
+            V = np.array([0.3, 2.0, 7.0, 20.0, 320.0, 1000.0])
+            for tol in (1e-4, 1e-9, 1e-12):
+                for v, q, M in zip(V, *quad._size(V, n, tol)):
+                    assert quad._log_bound(q, M, v, n) <= math.log(tol)
+                    for q2 in quad.ORDERS:
+                        M2 = q * M // q2 if q2 < q else -(-q * M // q2) - 1
+                        assert M2 < 1 or quad._log_bound(q2, M2, v, n) > math.log(tol)
 
     def test_fewer_nodes_than_half_cycle_panels(self):
         # the former rule: max(2, ceil(V / 0.5)) + 2 panels of 12 nodes, whatever tol
+        V = np.array([20.0, 40.0, 80.0, 320.0, 1000.0])
         for n in (1, 2, 3):
-            for V in (20.0, 40.0, 80.0, 320.0, 1000.0):
-                old_nodes = quad.ORDER_HIGH * (max(2, math.ceil(V / 0.5)) + 2)
-                new_nodes = quad.ORDER_HIGH * quad._panel_count(V, n, 1e-6)
-                assert new_nodes < old_nodes / 2
+            old_nodes = 12 * (np.maximum(2, np.ceil(V / 0.5)) + 2)
+            q, M = quad._size(V, n, 1e-6)
+            assert np.all(q * M < old_nodes / 2)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("q", quad.ORDERS)
+    def test_each_order_against_mpmath(self, n, q):
+        # at a variation in the middle of the first run of V where order q is chosen
+        V_grid = np.linspace(0.0, 40.0, 4001)
+        rng = np.random.default_rng(50 + q + n)
+        for tol in (1e-6, 1e-12):
+            at = np.flatnonzero(quad._size(V_grid, n, tol)[0] == q)
+            run = at[: np.argmax(np.diff(at, append=at[-1] + 2) > 1) + 1]
+            V = V_grid[run[len(run) // 2]]
+            row = rows_spanning_variation(rng, n, V, 2)[1:]
+            assert quad._size(V, n, tol)[0][0] == q
+            assert abs(batch_osc_m1(n, row, tol=tol)[0] - mp_J_m1(n, row[0])) <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), V=st.floats(0.0, 200.0), tol_exp=st.integers(2, 13),
+           seed=st.integers(0, 2**32 - 1))
+    def test_modulus_within_tol_of_one(self, n, V, tol_exp, seed):
+        rows = rows_spanning_variation(np.random.default_rng(seed), n, V, 8)
+        tol = 10.0**-tol_exp
+        assert np.all(np.abs(batch_osc_m1(n, rows, tol=tol)) <= 1.0 + tol)
 
     def test_unreachable_tol_rejected(self):
         with pytest.raises(ValueError):
