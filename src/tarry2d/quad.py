@@ -31,7 +31,6 @@ ORDERS = (8, 12, 16, 24, 32)  # Gauss-Legendre orders a rule may take
 # Nodes per batch_osc_m1 task and tensor-rule chunk: work arrays stay in a 2 MB L2.
 CHUNK_NODES = 1 << 16
 MAX_NODES = 1 << 26  # node budget of one J, and of each direction of the tensor rule
-_TABLE = 32  # panel counts _size tabulates per (n, tol) for n > 1
 
 # Bernstein ellipse parameters for the error bound (see _log_bound):
 # b = (rho - 1/rho) / 2 and, per order q (rows), log of rho^(2q - 2) (rho^2 - 1) 15/32
@@ -142,37 +141,27 @@ def _log_bound(q: int, M: int, V: float, n: int) -> float:
     return float(np.min(V * _rate(M, n) - _RHO_LOG_DECAY[ORDERS.index(q)]))
 
 
-@functools.lru_cache(maxsize=64)
-def _reach(n: int, tol: float):
-    """slack = log tol + log decay per order (rows) and rho; c_q, the variation
-    one panel holds at r = 1; T[o, M - 1], the largest V that M = 1.._TABLE
-    panels of order ORDERS[o] hold at tol (the bound is linear in V at fixed rho)."""
-    slack = math.log(tol) + _RHO_LOG_DECAY
-    T = np.max(slack[:, None, :] / _rate(np.arange(1.0, _TABLE + 1), n), axis=-1)
-    return slack, np.max(slack / _rate(1, 1), axis=1), T
-
-
 def _size(V, n: int, tol: float):
     """(q, M) per variation in V: the fewest nodes q M, q in ORDERS, whose
     bound _log_bound(q, M, V, n) is at most tol (ties to the lower order).
 
-    M panels hold V up to M c_q at r = 1, so M = ceil(V / c_q), exact for
-    n = 1 and a lower limit for n > 1, where T gives M up to _TABLE and larger
-    M step up.  ValueError if tol is beyond every order's reach;
-    PanelBudgetError if a V needs over MAX_NODES nodes at every order,
-    checked before any product V overflows.
+    The bound is linear in V at fixed rho, and M panels hold V up to M c_q
+    at r = 1, so M = ceil(V / c_q): exact for n = 1, and for n > 1 a lower
+    limit that rows short of tol step up one panel at a time.  ValueError if
+    tol is beyond every order's reach; PanelBudgetError if a V needs over
+    MAX_NODES nodes at every order, checked before any product V overflows.
     """
     V = np.atleast_1d(np.asarray(V, dtype=float))
-    slack, c, T = _reach(n, tol)
+    slack = math.log(tol) + _RHO_LOG_DECAY  # orders x rho
+    c = np.max(slack / _rate(1, 1), axis=1)  # c_q
     if c[-1] <= 0.0:
         raise ValueError(f"tol {tol} is below the reach of the error bound")
     q = np.array(ORDERS)[:, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         M = np.maximum(np.ceil(V / c[:, None]), 1.0)  # orders x rows
     for o in np.flatnonzero(c > 0.0) if n > 1 else ():
-        M[o] = np.maximum(M[o], np.searchsorted(T[o], V) + 1.0)
-        live = np.flatnonzero((M[o] > _TABLE) & (M[o] <= MAX_NODES // q[o]))
-        while live.size:  # rows beyond the table still short of tol take one more panel
+        live = np.flatnonzero(M[o] <= MAX_NODES // q[o])
+        while live.size:  # rows still short of tol take one more panel
             Ms, at = np.unique(M[o, live], return_inverse=True)
             live = live[V[live] > np.max(slack[o] / _rate(Ms, n), axis=1)[at]]
             M[o, live] += 1.0
@@ -248,11 +237,10 @@ def batch_osc_m1(n: int, coeff_rows: np.ndarray, tol: float = 1e-8, workers: int
     lo = np.flatnonzero(np.diff(task, prepend=-1) | np.diff(q, prepend=0) | np.diff(M, prepend=0))
     hi = np.append(lo[1:], q.size)
     tasks = np.split(np.arange(lo.size), np.flatnonzero(np.diff(task[lo])) + 1)
-    tables = {rule: _m1_tables(n, *rule) for rule in zip(q[lo], M[lo])}  # built once per call
 
-    def run(t: int) -> np.ndarray:
+    def run(t: int) -> np.ndarray:  # a segment's tables live only while it runs
         return np.concatenate([
-            _kernel(rows[lo[s] : hi[s]], *tables[q[lo[s]], M[lo[s]]]) for s in tasks[t]])
+            _kernel(rows[lo[s] : hi[s]], *_m1_tables(n, q[lo[s]], M[lo[s]])) for s in tasks[t]])
 
     out = np.empty(q.size, dtype=complex)
     out[order] = np.concatenate(map_blocks(run, len(tasks), workers))

@@ -134,12 +134,12 @@ def theta_truncated(
     vols = np.array([(2 * b) ** N - (2 * a) ** N for a, b in shells])
 
     n_pilot_per = max(64, int(0.01 * n_samples) // len(shells))
-    # every shell's pilot rows in one J call, so a phase beyond the node budget
-    # fails before any node is built (each shell draws from its own stream)
+    # every shell's pilot rows in one J call, outermost shell first (each draws
+    # from its own stream): a phase beyond the node budget fails at once
     f = _abs_J_pow(n, m, k, np.concatenate([
         _sample_shell(philox_stream(seed, 2, l), a, b, N, n_pilot_per)
-        for l, (a, b) in enumerate(shells)]), tol, workers)
-    pilot_m2 = np.mean((f * f).reshape(len(shells), n_pilot_per), axis=1)
+        for l, (a, b) in reversed(list(enumerate(shells)))]), tol, workers)
+    pilot_m2 = np.mean((f * f).reshape(len(shells), n_pilot_per), axis=1)[::-1]
 
     main_budget = max(n_samples - n_pilot_per * len(shells), len(shells) * 64)
     w = vols * np.sqrt(pilot_m2)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -266,6 +267,25 @@ class TestBatch:
         got = batch_osc_m1(n, rows, workers=1)
         for workers in (2, 4):
             assert batch_osc_m1(n, rows, workers=workers).tobytes() == got.tobytes()
+
+    def test_one_rule_table_live_at_a_time(self, monkeypatch):
+        # a segment's node tables are built as it runs and dropped after it, so
+        # rows on over a hundred rules never hold more than one rule's tables
+        rows = rows_spanning_variation(np.random.default_rng(17), 1, 2000.0, 1500)
+        q, M = quad._size(np.abs(rows) @ [0.0, 1.0, 1.0], 1, 1e-8)
+        rules = len(set(zip(q.tolist(), M.tolist())))
+        assert rules > 100
+        build, live, peak = quad._m1_tables, [], []
+
+        def tracked(*args):
+            tables = build(*args)
+            live[:] = [ref for ref in live if ref() is not None] + [weakref.ref(tables[0])]
+            peak.append(len(live))
+            return tables
+
+        monkeypatch.setattr(quad, "_m1_tables", tracked)
+        batch_osc_m1(1, rows)
+        assert len(peak) >= rules and max(peak) == 1
 
 
 def assert_spans_orders_and_tasks(n, rows, tol):

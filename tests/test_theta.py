@@ -137,6 +137,24 @@ class TestThetaTruncated:
         assert loose != tight
         assert loose == pytest.approx(tight, rel=0.05)
 
+    @pytest.mark.parametrize("n,m", [(2, 2), (1, 1)])
+    def test_over_budget_fails_on_first_phase(self, monkeypatch, n, m):
+        # the outermost shell's pilot rows come first, so no inner-shell J is
+        # evaluated before the node budget stops the run
+        def first_call_only(f):
+            def call(*args, **kwargs):
+                assert not calls, "a J was evaluated before the over-budget phase"
+                calls.append(args)
+                return f(*args, **kwargs)
+            return call
+
+        calls = []
+        for name in ("osc_integral", "batch_osc_m1"):
+            monkeypatch.setattr(quad, name, first_call_only(getattr(quad, name)))
+        with pytest.raises(quad.PanelBudgetError):
+            theta_truncated(n, m, 1, 1e12, 200, seed=1)
+        assert len(calls) == 1
+
 
 def _parseval_per_panel(gamma, R, tol=1e-3):
     """parseval_check with one complex product C Kw per b-panel of 12 nodes."""
