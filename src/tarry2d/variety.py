@@ -19,7 +19,7 @@ import numpy as np
 
 from .parallel import map_blocks
 from .poly import monomial_count, monomial_indices
-from .rng import philox_stream
+from .rng import philox_stream, uniform32
 
 SHELL_BLOCK = 1 << 16  # thin-shell draws per random stream; 4k rows of 512 kB
 
@@ -247,8 +247,9 @@ def thin_shell_measure(
     y_last.  Uniform t over [-h, h] covers the (1,0) shell exactly once, so the
     draws landing with both solved coordinates in [0, 1] and the other N - 2
     residuals within h, times (2h)^-(N-2), estimate the same shell volume
-    without bias for every h > 0.  Counter-based RNG: results depend only on
-    (seed, n_samples), not on the worker count.
+    without bias for every h > 0, up to the 2^-32 grid of the uniforms
+    (rng.uniform32).  Counter-based RNG: results depend only on (seed,
+    n_samples), not on the worker count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -263,6 +264,12 @@ def thin_shell_measure(
     u = np.broadcast_to(np.asarray(u, dtype=float), (N,))
     if not np.all(np.isfinite(u)):
         raise ValueError("level u must be finite")
+    try:
+        scale = (2.0 * h) ** (2 - N)
+    except OverflowError:
+        scale = math.inf
+    if not scale < math.inf:
+        raise ValueError(f"h = {h} is too small: the normaliser (2h)^-{N - 2} overflows a float")
     u10, u01 = u[idx.index((1, 0))], u[idx.index((0, 1))]
     nonlinear = [(r, i, j) for r, (i, j) in enumerate(idx) if i + j > 1]
 
@@ -270,7 +277,7 @@ def thin_shell_measure(
 
     def run_block(b: int):
         size = min(SHELL_BLOCK, n_samples - b * SHELL_BLOCK)
-        s = philox_stream(seed, 1, b).random((4 * k, size))
+        s = uniform32(philox_stream(seed, 1, b), 4 * k, size)
         x, y = s[: 2 * k], s[2 * k :]
         # solve the last point in place: x_last = sum eps_p x_p - u_(1,0) - t
         for v, c in ((x, h - u10), (y, h - u01)):
@@ -301,7 +308,6 @@ def thin_shell_measure(
     w_sq = sum(r[1] for r in results)
     n_acc = sum(r[2] for r in results)
 
-    scale = (2.0 * h) ** (2 - N)
     mean = w_sum / n_samples
     var = max(w_sq / n_samples - mean * mean, 0.0) / n_samples
     return SurfaceMeasureEstimate(

@@ -262,6 +262,34 @@ class TestOtherCommands:
         assert out == golden
 
 
+GOLDEN = [
+    # captured before thin-shell draws moved to 32-bit uniforms: theta and
+    # diagnose draw through Generator.random and must not move
+    ("theta_1_1_1_2_samples_1000_seed_3.json",
+     ["theta", "1", "1", "1", "2", "--samples", "1000", "--seed", "3"]),
+    ("diagnose_1_1_1_radii_2_4_8_samples_2000_seed_3.json",
+     ["diagnose", "1", "1", "1", "--radii", "2", "4", "8", "--samples", "2000",
+      "--seed", "3"]),
+    # captured with two 32-bit uniforms per Philox word
+    ("thinshell_1_1_2_h_0.05_samples_200000_seed_5.json",
+     ["thinshell", "1", "1", "2", "--h", "0.05", "--samples", "200000", "--seed", "5"]),
+]
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name, argv", GOLDEN, ids=[g[0] for g in GOLDEN])
+    def test_seeded_command(self, capsys, name, argv, workers):
+        golden = (Path(__file__).parent / "data" / name).read_text()
+        code, out = run_cli(capsys, *argv, "--workers", workers)
+        assert code == 0
+        assert out == golden
+
+    def test_parseval(self, capsys):
+        golden = (Path(__file__).parent / "data" / "parseval_0.3_5.json").read_text()
+        assert run_cli(capsys, "parseval", "0.3", "5") == (0, golden)
+
+
 class TestInputContract:
     @pytest.mark.parametrize("argv", [
         ["boxes", "1", "1", "1", "--scales", "0"],
@@ -274,6 +302,9 @@ class TestInputContract:
         # the box volume (2R)^N overflows a float
         ["theta", "1", "1", "1", "1e300", "--samples", "200"],
         ["diagnose", "1", "1", "1", "--radii", "2", "4", "1e300"],
+        # the thin-shell normaliser (2h)^(2 - N) overflows a float
+        ["thinshell", "1", "1", "2", "--h", "1e-320"],
+        ["thinshell", "2", "2", "4", "--h", "1e-60", "--theta-form"],
         ["theta", "1"], ["nosuch"], ["theta", "1", "1", "1", "2", "--bogus"],
         ["theta", "1", "1", "1", "x"], ["boxes", "1", "1", "1", "--format", "xml"],
     ])

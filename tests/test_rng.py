@@ -1,0 +1,38 @@
+import math
+
+import numpy as np
+import pytest
+
+from tarry2d.rng import philox_stream, uniform32
+
+
+class TestUniform32:
+    @pytest.mark.parametrize("rows, size", [(6, 5), (3, 5), (1, 1)])
+    def test_interleaves_word_halves_low_first(self, rows, size):
+        count = rows * size
+        raw = philox_stream(7, 1, 0).bit_generator.random_raw((count + 1) // 2)
+        want = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()[:count]
+        got = uniform32(philox_stream(7, 1, 0), rows, size)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, (want * 2.0**-32).reshape(rows, size))
+
+    def test_values_on_the_2_32_grid_in_unit_interval(self):
+        u = uniform32(philox_stream(8, 1, 0), 4, 1 << 16)
+        assert u.min() >= 0.0 and u.max() < 1.0
+        scaled = u * 2.0**32
+        assert np.array_equal(scaled, np.floor(scaled))
+
+    def test_uniform_at_fixed_seed(self):
+        u = uniform32(philox_stream(9, 1, 0), 16, 1 << 16)  # 2^20 values
+        se = math.sqrt(1.0 / 12.0 / u.shape[1])
+        assert np.all(np.abs(u.mean(axis=1) - 0.5) <= 5 * se)
+        flat = u.ravel()
+        for half in (flat[0::2], flat[1::2]):  # low and high word halves
+            bits = (half * 2.0**32).astype(np.uint64)
+            # leading and trailing byte of each 32-bit value, 256 bins each
+            for byte in (bits >> 24, bits & 0xFF):
+                counts = np.bincount(byte.astype(np.intp), minlength=256)
+                expected = half.size / 256
+                chi2 = float(((counts - expected) ** 2 / expected).sum())
+                # chi-square with 255 degrees of freedom: upper 1e-4 point 347.7
+                assert chi2 < 347.7

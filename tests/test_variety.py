@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tarry2d.poly import alpha_inverse, monomial_count, monomial_indices
 from tarry2d.variety import (
@@ -18,6 +20,10 @@ from tarry2d.variety import (
     thin_shell_measure,
     translate_solution,
 )
+
+
+# coordinates of up to 3 + 3 points in the unit square
+COORDS = st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12)
 
 
 def random_config(rng, k, lo=0.0, hi=1.0):
@@ -120,6 +126,33 @@ class TestGram:
                 g = gram_G0(cfg, n, m)
                 g2 = gram_G0(PointConfig(cfg.k, cfg.points * lam), n, m)
                 assert g2 == pytest.approx(g * lam**expo, rel=1e-9, abs=1e-15)
+
+    @staticmethod
+    def _det_scale(cfg, n, m):
+        # Hadamard bound on G0: the round-off in det(G) is relative to it
+        A = jacobi_A0(cfg, n, m)
+        return float(np.prod(np.sum(A * A, axis=1)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(nm=st.sampled_from([(1, 1), (2, 1)]), k=st.integers(2, 3), coords=COORDS,
+           shift=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+    def test_translation_invariance_property(self, nm, k, coords, shift):
+        n, m = nm
+        cfg = PointConfig(k, np.reshape(coords[: 4 * k], (2 * k, 2)))
+        moved = translate_solution(cfg, *shift)
+        slack = 1e-9 * max(self._det_scale(cfg, n, m), self._det_scale(moved, n, m))
+        assert abs(gram_G0(moved, n, m) - gram_G0(cfg, n, m)) <= slack
+
+    @settings(max_examples=100, deadline=None)
+    @given(nm=st.sampled_from([(1, 1), (2, 1)]), k=st.integers(2, 3), coords=COORDS,
+           lam=st.floats(0.25, 4.0))
+    def test_scaling_law_property(self, nm, k, coords, lam):
+        n, m = nm
+        cfg = PointConfig(k, np.reshape(coords[: 4 * k], (2 * k, 2)))
+        scaled = PointConfig(k, cfg.points * lam)
+        want = gram_G0(cfg, n, m) * lam ** (2 * alpha_inverse(n, m))
+        slack = 1e-9 * self._det_scale(scaled, n, m)
+        assert abs(gram_G0(scaled, n, m) - want) <= slack
 
     def test_unit_cube_bound(self):
         rng = np.random.default_rng(10)
@@ -277,6 +310,13 @@ class TestThinShell:
     def test_bad_k_h_or_level(self, k, u, h):
         with pytest.raises(ValueError):
             thin_shell_measure(1, 1, k, np.full(3, u), h, 100, seed=1)
+
+    @pytest.mark.parametrize("n, m, h", [(1, 1, 1e-320), (2, 2, 1e-60)])
+    def test_h_with_overflowing_normaliser(self, n, m, h):
+        # (2h)^(2 - N) is not a float: a ValueError, not an OverflowError
+        N = monomial_count(n, m)
+        with pytest.raises(ValueError, match="normaliser"):
+            thin_shell_measure(n, m, 4, np.zeros(N), h, 1000, seed=1)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
