@@ -344,10 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser, argv):
-    """Seed subparser defaults from a key=value file; flags still override."""
-    if "--config-file" not in argv:
+    """Seed subparser defaults from a key=value file; flags, as --key value or
+    --key=value, still override."""
+    given = [a.split("=", 1)[0] for a in argv]
+    if "--config-file" not in given:
         return argv
-    i = argv.index("--config-file")
+    i = given.index("--config-file")
+    argv = argv[:i] + argv[i].split("=", 1) + argv[i + 1 :]  # --config-file=PATH as two tokens
     if i + 1 == len(argv):
         raise ValueError("--config-file needs a path")
     path = argv[i + 1]
@@ -363,7 +366,7 @@ def _apply_config_file(parser, argv):
     extra = []
     for key, val in pairs.items():
         flag = f"--{key.strip()}"
-        if flag not in argv:
+        if flag not in given:
             extra += [flag, *val.strip().split()]
     return argv[: i + 2] + extra + argv[i + 2 :]
 

@@ -8,12 +8,13 @@ its share of tol (_size, vectorised over phases).
 
 A phase with n == 1 < m is first swapped to F(y, x) (_orient).  A phase
 linear in y closes its inner integral, so only x takes a rule, sized at tol
-with V = sum i |a_ij| (batch_osc_m1: many phases, each on its own rule).  Any
-other takes a (qx Mx) x (qy My) tensor rule: from Q - I = Qx (Qy - Iy) +
-(Qx - Ix) Iy, with weights positive and summing to 1, its error is at most
-E(qx, Mx; Vx, n) + E(qy, My; Vy, m), Vx = sum i |a_ij|, Vy = sum j |a_ij|,
-each sized at tol / 2.  A rule beyond the MAX_NODES budget raises
-PanelBudgetError before any node is built.
+with V = sum i |a_ij| (_kernel).  Any other takes a (qx Mx) x (qy My) tensor
+rule (_tensor_kernel): from Q - I = Qx (Qy - Iy) + (Qx - Ix) Iy, with
+weights positive and summing to 1, its error is at most E(qx, Mx; Vx, n) +
+E(qy, My; Vy, m), Vx = sum i |a_ij|, Vy = sum j |a_ij|, each sized at tol / 2.
+One driver, _batch_J, takes a batch of rows of any (n, m) through these
+rules: batch_osc_m1 is the driver at m = 1, osc_integral on one row.  A rule
+beyond the MAX_NODES budget raises PanelBudgetError before any node is built.
 """
 
 from __future__ import annotations
@@ -79,44 +80,18 @@ def _orient(n: int, m: int, rows: np.ndarray):
     return m, n, rows[..., [pos[(j, i)] for i, j in monomial_indices(m, n)]]
 
 
-def _eval_tensor(C: np.ndarray, rule_x, rule_y) -> complex:
-    """Tensor rule of (nodes, weights) rule_x and rule_y for coefficients C, in CHUNK_NODES chunks."""
-    (x, wx), (y, wy) = rule_x, rule_y
-    step = max(1, CHUNK_NODES // y.size)
-    total = 0.0 + 0.0j
-    for lo in range(0, x.size, step):
-        vals = np.polynomial.polynomial.polygrid2d(x[lo : lo + step], y, C)
-        vals -= np.rint(vals)
-        total += wx[lo : lo + step] @ np.exp(2j * np.pi * vals) @ wy
-    return complex(total)
-
-
 def osc_integral(F: PolySpec, tol: float = 1e-8, max_evals: int = MAX_NODES) -> QuadResult:
-    """J(F) within tol by the rule of the module docstring, sized once.
-
-    abs_error_estimate is that rule's a-priori bound (at most tol), n_evals
-    its node count.  Raises PanelBudgetError, before building any node, when
-    that count would exceed max_evals.  Deterministic for fixed inputs.
-    """
+    """J(F) within tol by _batch_J on one row.  abs_error_estimate is the rule's
+    a-priori bound (at most tol), n_evals its node count; PanelBudgetError, before
+    any node is built, if that count would exceed max_evals."""
     _check_tol(tol)
     n, m, row = _orient(F.n, F.m, F.coeff_vector())
     if not row.any():
         return QuadResult(1.0 + 0.0j, 0.0, 1)
-    with np.errstate(over="ignore"):  # an infinite variation raises PanelBudgetError
-        Vx, Vy = np.abs(row) @ np.array(monomial_indices(n, m))
-    rules, bound = [], 0.0  # (q, M) of x, then of y for the tensor rule
-    for V, d in [(Vx, n), (Vy, m)][: 1 + (m > 1)]:
-        (q,), (M,) = _size(V, d, tol if m == 1 else tol / 2)
-        rules.append((q, M))
-        bound += math.exp(_log_bound(q, M, V, d)) if V else 0.0  # 0 where F does not vary
-    nodes = math.prod(int(q * M) for q, M in rules)
-    if nodes > max_evals:
-        raise PanelBudgetError(f"phase too large for tolerance {tol}: {nodes} nodes > {max_evals}")
-    if m == 1:
-        value = _kernel(row[None, :], *_m1_tables(n, *rules[0]))[0]
-    else:
-        value = _eval_tensor(F.coeff_matrix(), *(_panel_nodes(M, *_gauss(q)) for q, M in rules))
-    return QuadResult(complex(value), bound, nodes)
+    (value,), rules = _batch_J(n, m, row[None, :], tol, max_nodes=max_evals)
+    bound = sum(math.exp(_log_bound(q[0], M[0], V[0], d)) if V[0] else 0.0  # 0 where F is flat
+                for (V, q, M), d in zip(rules, (n, m)))
+    return QuadResult(complex(value), bound, math.prod(int(q[0] * M[0]) for _, q, M in rules))
 
 
 def _rate(M, n: int) -> np.ndarray:
@@ -209,39 +184,69 @@ def _kernel(rows: np.ndarray, xa, xb, wts) -> np.ndarray:
     return re + 1j * (work @ wts)
 
 
-def batch_osc_m1(n: int, coeff_rows: np.ndarray, tol: float = 1e-8, workers: int = 1):
-    """J values for a batch of coefficient vectors of (n, 1)-degree phases.
+def _tensor_kernel(n: int, m: int, rows: np.ndarray, qx: int, Mx: int, qy: int, My: int):
+    """J of (n, m) rows on the (qx Mx) x (qy My) tensor rule, wx^T exp(2 pi i Px^T C Py) wy
+    per row, the phase reduced by rint (odd, so J(-F) = conj J(F) bitwise) and x cut
+    into chunks of about CHUNK_NODES nodes when the rows hold more."""
+    (x, wx), (y, wy) = _panel_nodes(Mx, *_gauss(qx)), _panel_nodes(My, *_gauss(qy))
+    i, j = np.array(monomial_indices(n, m)).T
+    C = np.zeros((len(rows), n + 1, m + 1))
+    C[:, i, j] = rows
+    CPy = C @ y ** np.arange(m + 1)[:, None]  # rows x (n + 1) x y nodes
+    step = max(1, CHUNK_NODES // (len(rows) * y.size))
+    re, im = np.zeros(len(rows)), np.zeros(len(rows))
+    for lo in range(0, x.size, step):
+        phase = x[lo : lo + step, None] ** np.arange(n + 1) @ CPy  # rows x chunk x y nodes
+        work = np.rint(phase)
+        phase -= work
+        phase *= 2.0 * np.pi
+        re += np.cos(phase, out=work) @ wy @ wx[lo : lo + step]
+        im += np.sin(phase, out=work) @ wy @ wx[lo : lo + step]
+    return re + 1j * im
 
-    coeff_rows has shape (S, N) in the graded index order.  The inner y
-    integral is closed in elementary form; the x integral takes, row by row,
-    the rule _size gives the row's phase variation V, whose a-priori error
-    bound is at most tol, so every value is within tol of J up to round-off.
-    A tol below about 1e-191 raises ValueError, and a rule beyond MAX_NODES
-    PanelBudgetError, before any node is built.
 
-    Rows sorted by rule (q, M) are cut into tasks of about CHUNK_NODES nodes,
-    which may span rules, and the tasks run on up to `workers` threads.  The
-    cut depends only on the rows and tol, so every value is bitwise
-    independent of `workers`.
-    """
-    _check_tol(tol)
-    rows = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
+def _batch_J(n: int, m: int, rows: np.ndarray, tol: float, workers: int = 1,
+             max_nodes: int = MAX_NODES):
+    """J of the (S, N) rows of oriented (n, m) phases (see _orient), and per direction,
+    x then y, the rows' variations and rules (V, q, M), from one _size call each.
+
+    ValueError if tol is beyond the bound's reach, PanelBudgetError if a rule needs
+    over MAX_NODES nodes in a direction or max_nodes in all, both before any node is
+    built.  Rows sorted by rule are cut into tasks of about CHUNK_NODES nodes, which
+    may span rules, run on up to `workers` threads; the cut depends only on the rows
+    and tol, so every value is bitwise independent of `workers`."""
+    pows = [np.array(p, dtype=float) for p in zip(*monomial_indices(n, m))][: 1 + (m > 1)]
     with np.errstate(over="ignore"):  # an infinite variation raises PanelBudgetError
-        V = np.abs(rows) @ np.array([i for i, _ in monomial_indices(n, 1)], dtype=float)
-    q, M = _size(V, n, tol)
-    order = np.lexsort((M, q))
-    rows, q, M = rows[order], q[order], M[order]
-    nodes = q * M
+        rules = [(V, *_size(V, d, tol if m == 1 else tol / 2))
+                 for V, d in zip([np.abs(rows) @ p for p in pows], (n, m))]
+    nodes = math.prod(q * M for _, q, M in rules)
+    if np.max(nodes) > max_nodes:
+        raise PanelBudgetError(
+            f"phase too large for tolerance {tol}: {np.max(nodes)} nodes > {max_nodes}")
+    keys = [k for _, q, M in rules for k in (q, M)]
+    order = np.lexsort(keys[::-1])
+    rows, nodes, keys = rows[order], nodes[order], [k[order] for k in keys]
     task = (np.cumsum(nodes) - nodes) // CHUNK_NODES  # by the row's first node
     # segments: runs of rows on one rule within one task
-    lo = np.flatnonzero(np.diff(task, prepend=-1) | np.diff(q, prepend=0) | np.diff(M, prepend=0))
-    hi = np.append(lo[1:], q.size)
+    lo = np.flatnonzero(functools.reduce(
+        np.bitwise_or, [np.diff(k, prepend=0) for k in keys], np.diff(task, prepend=-1)))
+    hi = np.append(lo[1:], len(rows))
     tasks = np.split(np.arange(lo.size), np.flatnonzero(np.diff(task[lo])) + 1)
+    kernel = (functools.partial(_tensor_kernel, n, m) if m > 1
+              else lambda r, q, M: _kernel(r, *_m1_tables(n, q, M)))
 
     def run(t: int) -> np.ndarray:  # a segment's tables live only while it runs
-        return np.concatenate([
-            _kernel(rows[lo[s] : hi[s]], *_m1_tables(n, q[lo[s]], M[lo[s]])) for s in tasks[t]])
+        return np.concatenate([kernel(rows[lo[s] : hi[s]], *(k[lo[s]] for k in keys))
+                               for s in tasks[t]])
 
-    out = np.empty(q.size, dtype=complex)
+    out = np.empty(len(rows), dtype=complex)
     out[order] = np.concatenate(map_blocks(run, len(tasks), workers))
-    return out
+    return out, rules
+
+
+def batch_osc_m1(n: int, coeff_rows: np.ndarray, tol: float = 1e-8, workers: int = 1):
+    """J values for (S, N) coefficient rows of (n, 1)-degree phases in the graded
+    index order: _batch_J at m = 1.  The inner y integral is closed in elementary
+    form, and each row's x rule has an a-priori error bound of at most tol."""
+    _check_tol(tol)
+    return _batch_J(n, 1, np.atleast_2d(np.asarray(coeff_rows, dtype=float)), tol, workers)[0]

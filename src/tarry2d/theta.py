@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quad
-from .parallel import map_blocks
-from .poly import PolySpec, critical_threshold, monomial_count
+from .poly import critical_threshold, monomial_count
 from .rng import philox_stream
 
 _BLOCK = 1 << 13  # main draws per stream
@@ -81,21 +80,12 @@ def _sample_shell(rng: np.random.Generator, a: float, b: float, N: int, size: in
     return pts
 
 
-def _abs_J_pow(
-    n: int, m: int, k: int, rows: np.ndarray, tol: float, workers: int
-) -> np.ndarray:
-    """|J(alpha)|^(2k) for a batch of coefficient vectors, rows on `workers` threads.
-
-    Each J is within tol; a phase linear in x or y takes the batch rule.
-    """
+def _abs_J_pow(n: int, m: int, k: int, rows: np.ndarray, tol: float, workers: int) -> np.ndarray:
+    """|J(alpha)|^(2k) for a batch of coefficient vectors, each J within tol, on `workers`
+    threads: quad.batch_osc_m1 for phases linear in x or y, else quad._batch_J."""
     n, m, rows = quad._orient(n, m, np.atleast_2d(rows))
-    if m == 1:
-        vals = quad.batch_osc_m1(n, rows, tol=tol, workers=workers)
-    else:
-        vals = np.array(map_blocks(
-            lambda r: quad.osc_integral(PolySpec.from_vector(n, m, rows[r]), tol=tol).value,
-            rows.shape[0], workers,
-        ))
+    vals = (quad.batch_osc_m1(n, rows, tol=tol, workers=workers) if m == 1
+            else quad._batch_J(n, m, rows, tol, workers)[0])
     return np.abs(vals) ** (2 * k)
 
 
@@ -120,7 +110,7 @@ def theta_truncated(
 
     J is evaluated on all pilot rows in one call, then on the main draws
     _CALL_BLOCKS blocks of _BLOCK rows at a time; `workers` threads share the
-    tasks of each call (see quad.batch_osc_m1), where the time goes.  The
+    tasks of each call (see quad._batch_J), where the time goes.  The
     result is bitwise independent of `workers`.
     """
     if k < 1:

@@ -8,6 +8,7 @@ from tarry2d import cli
 from tarry2d.quad import osc_integral
 from tarry2d.poly import PolySpec
 
+DATA = Path(__file__).parent / "data"
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -151,6 +152,24 @@ class TestFormatsAndOutput:
                           "--config-file", str(cfgfile), "--seed", "5")
         assert json.loads(out2)["seed"] == 5
 
+    def test_config_file_equals_form(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("samples=500\nseed=3\n")
+        code, out = run_cli(capsys, "theta", "1", "1", "1", "2", f"--config-file={cfgfile}")
+        obj = json.loads(out)
+        assert code == 0
+        assert (obj["run"]["samples"], obj["n_samples"], obj["seed"]) == (500, 500, 3)
+
+    def test_key_value_flag_beats_config_file(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("samples=500\nseed=3\n")
+        for flags in (["--samples=200", "--config-file", str(cfgfile)],
+                      [f"--config-file={cfgfile}", "--samples=200"]):
+            code, out = run_cli(capsys, "theta", "1", "1", "1", "2", *flags)
+            obj = json.loads(out)
+            assert code == 0
+            assert (obj["run"]["samples"], obj["seed"]) == (200, 3)
+
     def test_bad_config_file(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "theta", "1", "1", "1", "2.0",
                           "--config-file", str(tmp_path / "absent.cfg"))
@@ -288,6 +307,25 @@ class TestGoldenOutputs:
     def test_parseval(self, capsys):
         golden = (Path(__file__).parent / "data" / "parseval_0.3_5.json").read_text()
         assert run_cli(capsys, "parseval", "0.3", "5") == (0, golden)
+
+
+    # captured before osc_integral and n, m >= 2 theta moved onto quad._batch_J
+    def test_exponent(self, capsys):
+        golden = (DATA / "exponent_2_2.json").read_text()
+        assert run_cli(capsys, "exponent", "2", "2") == (0, golden)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_gram(self, capsys, monkeypatch, workers):
+        golden = (DATA / "gram_points_2_1_n_2_m_1_seed_3.json").read_text()
+        monkeypatch.chdir(DATA)
+        assert run_cli(capsys, "gram", "points_2_1.json", "--n", "2", "--m", "1",
+                       "--seed", "3", "--workers", workers) == (0, golden)
+
+    @pytest.mark.parametrize("degree", ["1_1", "1_2", "3_1"])
+    def test_integral_linear_in_one_variable(self, capsys, monkeypatch, degree):
+        golden = (DATA / f"integral_phase_{degree}_tol_1e-9.json").read_text()
+        monkeypatch.chdir(DATA)
+        assert run_cli(capsys, "integral", f"phase_{degree}.json", "--tol", "1e-9") == (0, golden)
 
 
 class TestInputContract:

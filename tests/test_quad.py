@@ -57,6 +57,30 @@ def doubling_reference(F, tol):
     raise AssertionError(f"reference did not reach tol {tol}")
 
 
+def tensor_reference(C, rule_x, rule_y):
+    """Tensor rule of (nodes, weights) rule_x and rule_y for the coefficient matrix C.
+
+    The phase comes from polygrid2d, is reduced by rint and goes through a
+    complex exp, x in chunks of about CHUNK_NODES nodes; the library forms
+    Px^T C Py by matrix products and takes cos and sin.
+    """
+    (x, wx), (y, wy) = rule_x, rule_y
+    step = max(1, quad.CHUNK_NODES // y.size)
+    total = 0.0 + 0.0j
+    for lo in range(0, x.size, step):
+        vals = np.polynomial.polynomial.polygrid2d(x[lo : lo + step], y, C)
+        vals -= np.rint(vals)
+        total += wx[lo : lo + step] @ np.exp(2j * np.pi * vals) @ wy
+    return complex(total)
+
+
+def tensor_rows(rng, n, m, V_max, count):
+    # random (n, m) rows rescaled to total variations sum (i + j) |a_ij| spread over 0..V_max
+    idx = np.array(monomial_indices(n, m))
+    rows = rng.uniform(-1.0, 1.0, (count, len(idx)))
+    return rows * (np.linspace(0.0, V_max, count) / (np.abs(rows) @ idx.sum(axis=1)))[:, None]
+
+
 def with_y_coeffs(n, rows, values):
     # copy of coefficient rows of an (n, 1) phase with the y-coefficients replaced
     cols = [c for c, (i, j) in enumerate(monomial_indices(n, 1)) if j == 1]
@@ -223,6 +247,29 @@ class TestUnifiedRule:
             (qy,), (My,) = quad._size(Vy, m, tol / 2)
             assert res.n_evals == qx * Mx * qy * My
 
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+    def test_batch_matches_tensor_reference(self, n, m):
+        # a batch over at least three rules and three tasks: each value within
+        # 1e-13 of tensor_reference on the row's rule, bitwise the same on any workers.
+        # At a loose tol a neighbouring rule errs by far more than 1e-13
+        rows = tensor_rows(np.random.default_rng(60 + 4 * n + m), n, m, 120.0, 40)
+        tol = 1e-4
+        got, rules = quad._batch_J(n, m, rows, tol)
+        Vx, Vy = (np.abs(rows) @ np.array(monomial_indices(n, m))).T
+        (qx, Mx), (qy, My) = quad._size(Vx, n, tol / 2), quad._size(Vy, m, tol / 2)
+        for (_, q, M), want in zip(rules, [(qx, Mx), (qy, My)]):
+            assert np.array_equal(q, want[0]) and np.array_equal(M, want[1])
+        assert len(set(zip(qx, Mx, qy, My))) >= 3
+        assert np.sum(qx * Mx * qy * My) > 3 * quad.CHUNK_NODES
+        for workers in (2, 4):
+            assert quad._batch_J(n, m, rows, tol, workers)[0].tobytes() == got.tobytes()
+        for r, row in enumerate(rows):
+            want = tensor_reference(
+                PolySpec.from_vector(n, m, row).coeff_matrix(),
+                quad._panel_nodes(Mx[r], *np.polynomial.legendre.leggauss(qx[r])),
+                quad._panel_nodes(My[r], *np.polynomial.legendre.leggauss(qy[r])))
+            assert abs(got[r] - want) <= 1e-13
+
 
 class TestBatch:
     def test_batch_matches_scalar(self):
@@ -258,6 +305,10 @@ class TestBatch:
         assert_spans_orders_and_tasks(1, rows, 1e-8)
         a = np.abs(batch_osc_m1(1, rows))
         b = np.abs(batch_osc_m1(1, -rows))
+        assert np.array_equal(a, b)
+        rows = tensor_rows(rng, 2, 2, 60.0, 40)
+        a = np.abs(quad._batch_J(2, 2, rows, 1e-8)[0])
+        b = np.abs(quad._batch_J(2, 2, -rows, 1e-8)[0])
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n", [1, 2])

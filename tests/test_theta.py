@@ -94,8 +94,8 @@ class TestThetaTruncated:
         b = theta_truncated(1, 1, 1, 4.0, 20_000, seed=12, workers=4)
         assert a.value == b.value
         assert a.std_error == b.std_error
-        # (1, 2) phases are swapped to (2, 1) for batch_osc_m1; (2, 2) maps
-        # osc_integral over the rows
+        # (1, 2) phases are swapped to (2, 1) for batch_osc_m1; (2, 2) takes
+        # the tensor rule of quad._batch_J
         for n, m in ((1, 2), (2, 2)):
             a = theta_truncated(n, m, 1, 0.5, 128, seed=12, workers=1)
             b = theta_truncated(n, m, 1, 0.5, 128, seed=12, workers=4)
@@ -143,13 +143,18 @@ class TestThetaTruncated:
         # evaluated before the node budget stops the run
         def first_call_only(f):
             def call(*args, **kwargs):
-                assert not calls, "a J was evaluated before the over-budget phase"
-                calls.append(args)
-                return f(*args, **kwargs)
+                if not depth:  # a J call, not batch_osc_m1's own call of _batch_J
+                    assert not calls, "a J was evaluated before the over-budget phase"
+                    calls.append(args)
+                depth.append(f)
+                try:
+                    return f(*args, **kwargs)
+                finally:
+                    depth.pop()
             return call
 
-        calls = []
-        for name in ("osc_integral", "batch_osc_m1"):
+        calls, depth = [], []
+        for name in ("osc_integral", "batch_osc_m1", "_batch_J"):
             monkeypatch.setattr(quad, name, first_call_only(getattr(quad, name)))
         with pytest.raises(quad.PanelBudgetError):
             theta_truncated(n, m, 1, 1e12, 200, seed=1)
