@@ -153,12 +153,15 @@ def cmd_theta(args) -> None:
 
 
 def cmd_parseval(args) -> None:
-    val = theta.parseval_check(args.gamma, args.R, tol=args.tol)
+    res = theta.parseval_check(args.gamma, args.R, tol=args.tol)
     payload = {
         "run": _run_config(args),
-        "value": val,
+        "value": res.value,
+        "abs_error_estimate": res.abs_error_estimate,
+        "x_rule": list(res.x_rule),
+        "b_rule": list(res.b_rule),
         "plancherel_constant_expected": 1.0,
-        "deviation_from_expected": val - 1.0,
+        "deviation_from_expected": res.value - 1.0,
     }
     _emit(args, payload)
 
@@ -340,46 +343,53 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_diagnose)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)  # the subcommand's own parser, for _parse
     return ap
 
 
-def _apply_config_file(parser, argv):
-    """Seed subparser defaults from a key=value file; flags, as --key value or
-    --key=value, still override."""
-    given = [a.split("=", 1)[0] for a in argv]
-    if "--config-file" not in given:
-        return argv
-    i = given.index("--config-file")
-    argv = argv[:i] + argv[i].split("=", 1) + argv[i + 1 :]  # --config-file=PATH as two tokens
-    if i + 1 == len(argv):
-        raise ValueError("--config-file needs a path")
-    path = argv[i + 1]
+def _read_config_file(path: str) -> list[str]:
+    """A key=value file's pairs as flag tokens, --key followed by the value's words."""
     try:
         with open(path) as fh:
-            pairs = dict(
-                line.strip().split("=", 1)
-                for line in fh
-                if line.strip() and not line.strip().startswith("#")
-            )
+            pairs = [line.strip().split("=", 1) for line in fh
+                     if line.strip() and not line.strip().startswith("#")]
+        return [tok for key, val in pairs for tok in (f"--{key.strip()}", *val.split())]
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    extra = []
-    for key, val in pairs.items():
-        flag = f"--{key.strip()}"
-        if flag not in given:
-            extra += [flag, *val.strip().split()]
-    return argv[: i + 2] + extra + argv[i + 2 :]
+
+
+def _parse(parser, argv):
+    """Parse argv; a --config-file fills the flags that argv leaves unset.
+
+    argparse itself decides which flags argv sets, in whatever form it accepts
+    (--key value, --key=value, an abbreviation): the file's values win on a parse
+    of argv plus the file, and argv's own values win wherever a parse of argv
+    alone, with the subcommand's defaults masked, sets them."""
+    args = parser.parse_args(argv)
+    if args.config_file is None:
+        return args
+    with_file = parser.parse_args(argv + _as_values(_read_config_file(args.config_file)))
+    moved = [k for k, v in vars(with_file).items() if getattr(args, k, None) != v]
+    unset = object()
+    args.parser.set_defaults(**dict.fromkeys(moved, unset))
+    given = parser.parse_args(argv)
+    for k in moved:
+        setattr(args, k, getattr(with_file if getattr(given, k) is unset else given, k))
+    return args
+
+
+def _as_values(argv):
+    # argparse takes values such as -1e-3 or -inf for flags; float() and int()
+    # ignore the leading space that marks them as values
+    return [" " + a if a.startswith("-") and _is_number(a) else a for a in argv]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        # argparse takes values such as -1e-3 or -inf for flags; float() and
-        # int() ignore the leading space that marks them as values
-        argv = [" " + a if a.startswith("-") and _is_number(a) else a for a in argv]
-        args = parser.parse_args(argv)
+        args = _parse(parser, _as_values(argv))
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
     except ValueError as exc:

@@ -3,7 +3,7 @@
 theta_truncated integrates |J(alpha)|^(2k) over the max-norm box [-R, R]^N
 by stratified Monte Carlo over dyadic shells of the max norm, with a pilot
 pass steering the per-shell sample allocation.  parseval_check evaluates the
-two-coefficient marginal mass by deterministic quadrature, growth_diagnostic
+two-coefficient marginal mass by one a-priori sized quadrature, growth_diagnostic
 fits the growth of the truncated integral against the radius, and
 shell_series_term gives the dyadic series terms whose sign of exponent
 separates growth from decay.
@@ -22,9 +22,6 @@ from .rng import philox_stream
 
 _BLOCK = 1 << 13  # main draws per stream
 _CALL_BLOCKS = 8  # blocks per J call: at most 2^16 rows
-_PARSEVAL_ORDER = 12  # Gauss-Legendre order of parseval_check's panels
-_PARSEVAL_CYCLES_PER_PANEL = 0.5  # phase cycles per x panel in parseval_check
-_PARSEVAL_ROWS = 1024  # rows of [cr; ci] per GEMM in parseval_check
 
 
 @dataclass
@@ -169,57 +166,58 @@ def theta_truncated(
     )
 
 
-def parseval_check(gamma: float, R: float, tol: float = 1e-3) -> float:
+@dataclass
+class ParsevalMass:
+    value: float
+    abs_error_estimate: float  # a-priori bound on |value - mass|, at most tol
+    x_rule: tuple[int, int]  # (q, M): Gauss order and panels in x and in x'
+    b_rule: tuple[int, int]  # (q, M) on [-R, R]
+
+
+def parseval_check(gamma: float, R: float, tol: float = 1e-3) -> ParsevalMass:
     """Truncated two-coefficient mass of |J|^2 at fixed top coefficient gamma.
 
-    Computes the integral of |J(a, b, gamma)|^2 over (a, b) in [-R, R]^2 for
-    the phase a x + b y + gamma x y.  The x integral is discretized by a
-    composite Gauss-Legendre rule, the a integral closes analytically against
-    the Dirichlet kernel, and the b integral uses panel quadrature.  As
-    R -> infinity the value approaches the unit-square mass of the transform,
-    which is 1 under the exp(2 pi i .) kernel convention.
+    The mass of |J(a, b, gamma)|^2 over (a, b) in [-R, R]^2, phase a x + b y
+    + gamma x y, is the integral over b in [-R, R] and (x, x') in [0, 1]^2 of
+    K(x - x') c(b + gamma x) conj c(b + gamma x'), where the a integral closes
+    as K(d) = 2R sinc(2R d) and c(t) = int_0^1 e(t y) dy.  It tends to 1 as R grows.
+
+    One pass on Gauss-Legendre rules sized a priori by quad._size (n = 1), one
+    for x and x', one for b.  On a panel's ellipse the (x, x') integrand is at
+    most 2R exp(2 pi (R + |gamma|) |Im x|), and with b = R (2s - 1) the b
+    integrand at most 4R^2 exp(2 pi 2R |Im s|).  From Q - I = Qx (Qx' - I) +
+    (Qx - I) I, b weights summing to 2R, the error is at most
+    8R^2 E(qx, Mx; R + |gamma|, 1) + 4R^2 E(qb, Mb; 2R, 1): x is sized at
+    tol / max(1, 16R^2), b at tol / max(1, 8R^2).  PanelBudgetError, before any
+    node is built, if K or [cr; ci] would hold over quad.MAX_NODES floats.
     """
     if not 0.0 < R < math.inf:
         raise ValueError(f"R must be positive and finite, got {R}")
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
     quad._check_tol(tol)
-
-    def compute(mx_panels: int, mb_panels: int) -> float:
-        g, w = np.polynomial.legendre.leggauss(_PARSEVAL_ORDER)
-        x, wx = quad._panel_nodes(mx_panels, g, w)
-        # kernel of the analytic a-integral: int_{-R}^{R} e^{2 pi i a d} da
-        diff = x[:, None] - x[None, :]
-        K = 2.0 * R * np.sinc(2.0 * R * diff)
-        Kw = (wx[:, None] * wx[None, :]) * K
-        offs = np.linspace(-R, R, mb_panels + 1)
-        lo, hi = offs[:-1, None], offs[1:, None]
-        beta = ((lo + hi) / 2.0 + (hi - lo) / 2.0 * g).ravel()
-        wts = ((hi - lo) / 2.0 * w).ravel()
-        # c = exp(i pi t) sinc(t) with t = beta + gamma x.  Kw is real and
-        # symmetric, so Re(c Kw c^H) = cr Kw cr^T + ci Kw ci^T: one real GEMM
-        # of [cr; ci] against Kw, in row blocks so memory stays near that of K
-        mass = np.empty(beta.size)
-        step = _PARSEVAL_ROWS // 2
-        for s in range(0, beta.size, step):
-            t = beta[s : s + step, None] + gamma * x[None, :]
-            sinc = np.sinc(t)
-            t *= np.pi
-            C = np.concatenate([np.cos(t) * sinc, np.sin(t) * sinc])
-            q = np.einsum("bi,bi->b", C @ Kw, C)
-            mass[s : s + step] = q[: len(t)] + q[len(t) :]
-        return float(wts @ mass)
-
-    mx = max(8, int(np.ceil((R + abs(gamma)) / _PARSEVAL_CYCLES_PER_PANEL)) + 4)
-    mb = max(8, int(np.ceil(2.0 * R)))
-    val = compute(mx, mb)
-    for _ in range(3):
-        mx2, mb2 = (3 * mx) // 2, (3 * mb) // 2
-        val2 = compute(mx2, mb2)
-        if abs(val2 - val) <= tol:
-            return val2
-        mx, mb, val = mx2, mb2, val2
-    return val
+    Vx, Vb = R + abs(gamma), 2.0 * R
+    quad._size(max(Vx, Vb), 1, tol)  # a V or tol out of reach fails here, in the caller's tol
+    (qx,), (Mx,) = quad._size(Vx, 1, tol / max(1.0, 16.0 * R * R))
+    (qb,), (Mb,) = quad._size(Vb, 1, tol / max(1.0, 8.0 * R * R))
+    X, B = int(qx * Mx), int(qb * Mb)
+    if X * max(X, 2 * B) > quad.MAX_NODES:
+        raise quad.PanelBudgetError(f"mass too large for tolerance {tol}: {X} x and "
+                                    f"{B} b nodes need over {quad.MAX_NODES} floats")
+    x, wx = quad._panel_nodes(Mx, *quad._gauss(qx))
+    s, ws = quad._panel_nodes(Mb, *quad._gauss(qb))
+    beta, wb = R * (2.0 * s - 1.0), 2.0 * R * ws
+    Kw = (wx[:, None] * wx[None, :]) * (2.0 * R * np.sinc(2.0 * R * (x[:, None] - x[None, :])))
+    # c = exp(i pi t) sinc(t) with t = beta + gamma x.  Kw is real and symmetric,
+    # so Re(c Kw c^H) = cr Kw cr^T + ci Kw ci^T: one real GEMM of [cr; ci] against Kw
+    t = beta[:, None] + gamma * x[None, :]
+    sinc = np.sinc(t)
+    t *= np.pi
+    C = np.concatenate([np.cos(t) * sinc, np.sin(t) * sinc])
+    q = np.einsum("bi,bi->b", C @ Kw, C)
+    bound = (8.0 * R * R * math.exp(quad._log_bound(qx, Mx, Vx, 1))
+             + 4.0 * R * R * math.exp(quad._log_bound(qb, Mb, Vb, 1)))
+    return ParsevalMass(float(wb @ (q[:B] + q[B:])), bound, (int(qx), int(Mx)), (int(qb), int(Mb)))
 
 
 def shell_series_term(n: int, m: int, k: int, l: int) -> float:

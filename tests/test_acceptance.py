@@ -51,7 +51,7 @@ def report(num, ok, detail):
 
 def test_01_two_coefficient_mass():
     # truncated marginal mass approaches the transform-plane constant 1
-    val = parseval_check(0.3, 50.0)
+    val = parseval_check(0.3, 50.0).value
     ok = abs(val - 1.0) <= 0.05
     report(1, ok, f"mass(gamma=0.3, R=50) = {val:.6f}, "
                   f"confirmed constant 1 (|dev| = {abs(val - 1.0):.4f} <= 0.05)")

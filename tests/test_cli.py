@@ -170,6 +170,19 @@ class TestFormatsAndOutput:
             assert code == 0
             assert (obj["run"]["samples"], obj["seed"]) == (200, 3)
 
+    @pytest.mark.parametrize("flags", [
+        ["--sam", "200", "--config-file", "c.cfg"], ["--config-file", "c.cfg", "--sam=200"],
+        ["--config", "c.cfg", "--samp", "200"], ["--samples", "200", "--config=c.cfg"],
+    ])
+    def test_abbreviated_flag_beats_config_file(self, capsys, tmp_path, monkeypatch, flags):
+        # argparse reads --sam as --samples, so the file must not override it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text("samples=500\nseed=3\n")
+        code, out = run_cli(capsys, "theta", "1", "1", "1", "2", *flags)
+        obj = json.loads(out)
+        assert code == 0
+        assert (obj["run"]["samples"], obj["seed"]) == (200, 3)
+
     def test_bad_config_file(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "theta", "1", "1", "1", "2.0",
                           "--config-file", str(tmp_path / "absent.cfg"))
@@ -190,6 +203,16 @@ class TestOtherCommands:
         obj = json.loads(out)
         assert 0.9 < obj["value"] <= 1.0 + 1e-6
         assert obj["plancherel_constant_expected"] == 1.0
+        assert 0.0 < obj["abs_error_estimate"] <= obj["run"]["tol"]
+        assert all(len(obj[k]) == 2 for k in ("x_rule", "b_rule"))
+
+    @pytest.mark.parametrize("gamma,R", [("0.3", "1e5"), ("1e9", "3"), ("0.3", "1e200")])
+    def test_parseval_over_budget_is_one_line_exit_1(self, capsys, gamma, R):
+        code = cli.main(["parseval", gamma, R])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("computation failed:")
 
     def test_gram(self, capsys, tmp_path):
         path = write_config(tmp_path)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tarry2d import quad
 from tarry2d.theta import (
@@ -161,8 +163,10 @@ class TestThetaTruncated:
         assert len(calls) == 1
 
 
-def _parseval_per_panel(gamma, R, tol=1e-3):
-    """parseval_check with one complex product C Kw per b-panel of 12 nodes."""
+def parseval_doubling_reference(gamma, R, tol=1e-12):
+    """Independent reference for parseval_check: order-12 panels of half a cycle
+    in x and one unit in b, grown 1.5x until two passes agree to tol, with one
+    complex product C Kw per b-panel."""
     def compute(mx_panels, mb_panels):
         x, wx = quad._panel_nodes(mx_panels, *np.polynomial.legendre.leggauss(12))
         K = 2.0 * R * np.sinc(2.0 * R * (x[:, None] - x[None, :]))
@@ -190,6 +194,20 @@ def _parseval_per_panel(gamma, R, tol=1e-3):
     return val
 
 
+def _parseval_per_panel(gamma, R, x_rule, b_rule):
+    """parseval_check on its own rules, with one complex product C Kw per b-panel."""
+    x, wx = quad._panel_nodes(x_rule[1], *np.polynomial.legendre.leggauss(x_rule[0]))
+    Kw = (wx[:, None] * wx[None, :]) * 2.0 * R * np.sinc(2.0 * R * (x[:, None] - x[None, :]))
+    gb, wb = np.polynomial.legendre.leggauss(b_rule[0])
+    offs = np.linspace(-R, R, b_rule[1] + 1)
+    total = 0.0
+    for lo, hi in zip(offs[:-1], offs[1:]):
+        t = ((lo + hi) / 2.0 + (hi - lo) / 2.0 * gb)[:, None] + gamma * x[None, :]
+        C = np.exp(1j * np.pi * t) * np.sinc(t)
+        total += float((hi - lo) / 2.0 * wb @ np.real(np.einsum("bi,bi->b", C @ Kw, np.conj(C))))
+    return total
+
+
 class TestParseval:
     def test_zero_top_coefficient_product_form(self):
         # with no cross term the mass factorizes into a squared sinc integral
@@ -198,7 +216,7 @@ class TestParseval:
         one_dim, _ = scipy_integrate.quad(
             lambda a: np.sinc(a) ** 2, -R, R, limit=400
         )
-        got = parseval_check(0.0, R)
+        got = parseval_check(0.0, R).value
         assert got == pytest.approx(one_dim**2, abs=1e-6)
 
     def test_matches_grid_oracle(self):
@@ -209,11 +227,11 @@ class TestParseval:
         rows = np.column_stack([B.ravel(), A.ravel(), np.full(A.size, 0.7)])
         f = np.abs(J_oracle_11(rows, nodes=512)) ** 2
         oracle = f.sum() * (2 * R / cells) ** 2
-        assert parseval_check(0.7, R) == pytest.approx(oracle, abs=5e-3)
+        assert parseval_check(0.7, R).value == pytest.approx(oracle, abs=5e-3)
 
     def test_increases_toward_unit_mass(self):
-        v5 = parseval_check(0.3, 5.0)
-        v15 = parseval_check(0.3, 15.0)
+        v5 = parseval_check(0.3, 5.0).value
+        v15 = parseval_check(0.3, 15.0).value
         assert v5 < v15 < 1.0 + 1e-6
 
     def test_bad_radius(self):
@@ -230,8 +248,27 @@ class TestParseval:
     @pytest.mark.parametrize("gamma,R", [(0.3, 30.0), (2.0, 5.0), (0.0, 3.0)])
     def test_real_gemm_matches_per_panel_product(self, gamma, R):
         # the real [cr; ci] GEMM moves the mass only at round-off
-        want = _parseval_per_panel(gamma, R)
-        assert parseval_check(gamma, R) == pytest.approx(want, rel=1e-13, abs=0.0)
+        got = parseval_check(gamma, R)
+        want = _parseval_per_panel(gamma, R, got.x_rule, got.b_rule)
+        assert got.value == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("R", [2.0, 5.0, 30.0])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 2.0])
+    def test_within_tol_of_doubling_reference(self, gamma, R):
+        want = parseval_doubling_reference(gamma, R)
+        for tol in (1e-3, 1e-6, 1e-9):
+            got = parseval_check(gamma, R, tol=tol)
+            assert abs(got.value - want) <= tol
+            assert 0.0 < got.abs_error_estimate <= tol
+
+    @settings(max_examples=25, deadline=None)
+    @given(gamma=st.floats(0.0, 4.0), R=st.floats(0.5, 20.0), tol_exp=st.integers(3, 9))
+    def test_symmetric_in_gamma(self, gamma, R, tol_exp):
+        # |J(a, b, gamma)| = |J(-a, -b, -gamma)| and the box is symmetric
+        tol = 10.0**-tol_exp
+        plus, minus = parseval_check(gamma, R, tol), parseval_check(-gamma, R, tol)
+        assert abs(plus.value - minus.value) <= 2 * tol
+        assert (plus.x_rule, plus.b_rule) == (minus.x_rule, minus.b_rule)
 
 
 class TestSeries:
