@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Every experiment is a subcommand with an explicit seed and machine-readable
-output.  JSON is canonical; CSV is available for sweeps.  All floats are
-emitted with 17 significant digits so round-trips are lossless; reruns with
-identical flags produce byte-identical output, for any --workers value.
+output.  JSON is canonical: a command returns its payload, which main opens
+with a "run" block of every argument and flag that is set, bar --output and
+--workers.  theta, diagnose and boxes, whose results are tables, also take
+--format csv.  All floats are emitted with 17 significant digits so
+round-trips are lossless; reruns with identical flags produce byte-identical
+output, for any --workers value.
 
 Exit codes: 0 success, 1 computational failure (budget exceeded, hypothesis
 violation), 2 input error.
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -64,110 +68,79 @@ def _csv_cell(v) -> str:
     return _fmt_float(v) if isinstance(v, float) else str(v)
 
 
-def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv" and csv_rows is not None:
-        lines = [",".join(csv_header)]
-        lines += [",".join(_csv_cell(c) for c in row) for row in csv_rows]
+def _emit(args, payload: dict, table) -> None:
+    """Write the payload as JSON or, with --format csv, the table: a list of
+    rows as dicts, whose first row's keys are the header."""
+    if getattr(args, "format", "json") == "csv":
+        lines = [",".join(table[0])]
+        lines += [",".join(_csv_cell(c) for c in row.values()) for row in table]
         text = "\n".join(lines) + "\n"
     else:
         text = _dumps(payload) + "\n"
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+# argparse's bookkeeping, and flags that cannot change a number
+_NOT_RUN = {"command", "fn", "output", "workers"}
+
+
 def _run_config(args) -> dict:
-    # workers deliberately omitted: output is invariant to the worker count
-    cfg = {
-        "seed": getattr(args, "seed", None),
-        "format": getattr(args, "format", None),
-    }
-    for key in ("n", "m", "k", "R", "h", "samples", "tol", "gamma", "weight",
-                "radii", "scales", "poly", "config_file"):
-        if hasattr(args, key):
-            v = getattr(args, key)
-            cfg[key] = list(v) if isinstance(v, (list, tuple)) else v
-    return {k: v for k, v in cfg.items() if v is not None}
+    """Every flag and argument of the run that is set, in declaration order."""
+    return {k: v for k, v in vars(args).items() if v is not None and k not in _NOT_RUN}
 
 
-def _load_poly(path: str) -> poly.PolySpec:
+def _load_json(path: str, cls):
+    """cls.from_json_dict of a JSON file; ValueError if it cannot be read."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read polynomial file {path}: {exc}") from exc
-    return poly.PolySpec.from_json_dict(obj)
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    return cls.from_json_dict(obj)
 
 
-def _load_config(path: str) -> variety.PointConfig:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read configuration file {path}: {exc}") from exc
-    return variety.PointConfig.from_json_dict(obj)
-
-
-def cmd_exponent(args) -> None:
-    N = poly.monomial_count(args.n, args.m)
+def cmd_exponent(args):
     thr = poly.critical_threshold(args.n, args.m)
     divergent = list(range(1, thr // 4 + 1))
-    payload = {
-        "run": _run_config(args),
-        "N": N,
+    return {
+        "N": poly.monomial_count(args.n, args.m),
         "threshold": thr,
         "alpha_inverse": poly.alpha_inverse(args.n, args.m),
         "divergent_k": divergent,
         "smallest_convergent_k": (divergent[-1] + 1) if divergent else 1,
-    }
-    _emit(args, payload)
+    }, None
 
 
-def cmd_integral(args) -> None:
-    F = _load_poly(args.poly)
-    res = quad.osc_integral(F, tol=args.tol)
-    payload = {
-        "run": _run_config(args),
+def cmd_integral(args):
+    res = quad.osc_integral(_load_json(args.poly, poly.PolySpec), tol=args.tol)
+    return {
         "value_re": res.value.real,
         "value_im": res.value.imag,
         "abs_error_estimate": res.abs_error_estimate,
         "n_evals": res.n_evals,
-    }
-    _emit(args, payload)
+    }, None
 
 
-def cmd_theta(args) -> None:
-    est = theta.theta_truncated(
+def cmd_theta(args):
+    est = asdict(theta.theta_truncated(
         args.n, args.m, args.k, args.R, args.samples, args.seed,
         tol=args.tol, workers=args.workers,
-    )
-    d = est.to_dict()
-    payload = {"run": _run_config(args), **d}
-    header = ["n", "m", "k", "R", "value", "std_error", "n_samples", "seed"]
-    rows = [[d[h] for h in header]]
-    _emit(args, payload, csv_rows=rows, csv_header=header)
+    ))
+    return est, [est]
 
 
-def cmd_parseval(args) -> None:
+def cmd_parseval(args):
     res = theta.parseval_check(args.gamma, args.R, tol=args.tol)
-    payload = {
-        "run": _run_config(args),
-        "value": res.value,
-        "abs_error_estimate": res.abs_error_estimate,
-        "x_rule": list(res.x_rule),
-        "b_rule": list(res.b_rule),
-        "plancherel_constant_expected": 1.0,
-        "deviation_from_expected": res.value - 1.0,
-    }
-    _emit(args, payload)
+    return {**asdict(res), "plancherel_constant_expected": 1.0,
+            "deviation_from_expected": res.value - 1.0}, None
 
 
-def cmd_gram(args) -> None:
-    cfg = _load_config(args.config)
+def cmd_gram(args):
+    cfg = _load_json(args.config, variety.PointConfig)
     g0 = variety.gram_G0(cfg, args.n, args.m)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     a, b = rng.uniform(-1.0, 1.0, 2)
@@ -176,19 +149,17 @@ def cmd_gram(args) -> None:
     scaled = variety.PointConfig(cfg.k, cfg.points * lam)
     g_scaled = variety.gram_G0(scaled, args.n, args.m)
     expo = 2 * poly.alpha_inverse(args.n, args.m)
-    payload = {
-        "run": _run_config(args),
+    return {
         "G0": g0,
         "translation": {"a": a, "b": b, "G0_shifted": g_shift,
                         "abs_diff": abs(g_shift - g0)},
         "scaling": {"lambda": lam, "G0_scaled": g_scaled,
                     "expected": g0 * lam**expo,
                     "rel_diff": abs(g_scaled - g0 * lam**expo) / max(g0 * lam**expo, 1e-300)},
-    }
-    _emit(args, payload)
+    }, None
 
 
-def cmd_thinshell(args) -> None:
+def cmd_thinshell(args):
     if args.theta_form and (args.weight != "none" or args.u != 0.0):
         raise ValueError("--theta-form estimates at u = 0 without weight; "
                          "drop --weight and --u")
@@ -204,11 +175,10 @@ def cmd_thinshell(args) -> None:
             args.n, args.m, args.k, u, args.h, args.samples, args.seed,
             weight=args.weight, workers=args.workers,
         )
-    payload = {"run": _run_config(args), **est.to_dict()}
-    _emit(args, payload)
+    return asdict(est), None
 
 
-def cmd_boxes(args) -> None:
+def cmd_boxes(args):
     report = lowerbound.disjointness_check(args.n, args.m, args.k, args.scales)
     sweep = []
     for P in sorted(args.scales):
@@ -225,29 +195,23 @@ def cmd_boxes(args) -> None:
                 sweep.append({"P": P, "nu": nu, "mu": mu,
                               "volume": lowerbound.box_volume(region),
                               "margin_max": float(margins.max())})
-    payload = {"run": _run_config(args),
-               "disjointness": report.to_dict(),
-               "sweep": sweep}
-    header = ["P", "nu", "mu", "volume", "margin_max"]
-    rows = [[s[h] for h in header] for s in sweep]
-    _emit(args, payload, csv_rows=rows, csv_header=header)
+    return {"disjointness": report.to_dict(), "sweep": sweep}, sweep
 
 
-def cmd_diagnose(args) -> None:
-    rep = theta.growth_diagnostic(
+def cmd_diagnose(args):
+    rep = asdict(theta.growth_diagnostic(
         args.n, args.m, args.k, args.radii, args.samples, args.seed,
         tol=args.tol, workers=args.workers,
-    )
-    payload = {"run": _run_config(args), **rep.to_dict()}
-    header = ["n", "m", "k", "R", "value", "std_error", "n_samples", "seed"]
-    rows = [[e.to_dict()[h] for h in header] for e in rep.estimates]
-    _emit(args, payload, csv_rows=rows, csv_header=header)
+    ))
+    return rep, rep["estimates"]
 
 
-def _add_common(p, seeded=True):
-    """Flags every subcommand takes; returns the --workers action of seeded ones."""
+def _add_common(p, seeded=True, table=False):
+    """Flags every subcommand takes, and --format where a CSV table exists;
+    returns the --workers action of seeded ones."""
     p.add_argument("--output", help="write results to this file instead of stdout")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    if table:
+        p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--config-file", dest="config_file",
                    help="key=value file supplying flag defaults")
     if seeded:
@@ -297,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("R", type=float)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--tol", type=float, default=1e-6)
-    _add_common(p)
+    _add_common(p, table=True)
     p.set_defaults(fn=cmd_theta)
 
     p = sub.add_parser("parseval", help="truncated two-coefficient mass of |J|^2")
@@ -331,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(name, type=int)
     p.add_argument("--scales", type=int, nargs="+", default=[2, 4, 8])
     p.add_argument("--beta-samples", type=int, default=20)
-    _add_common(p).help = _NO_WORKERS
+    _add_common(p, table=True).help = _NO_WORKERS
     p.set_defaults(fn=cmd_boxes)
 
     p = sub.add_parser("diagnose", help="growth of the truncated integral in R")
@@ -340,11 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", type=float, nargs="+", default=[5.0, 10.0, 20.0, 40.0])
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--tol", type=float, default=1e-6)
-    _add_common(p)
+    _add_common(p, table=True)
     p.set_defaults(fn=cmd_diagnose)
 
-    for p in sub.choices.values():
-        p.set_defaults(parser=p)  # the subcommand's own parser, for _parse
     return ap
 
 
@@ -362,21 +324,16 @@ def _read_config_file(path: str) -> list[str]:
 def _parse(parser, argv):
     """Parse argv; a --config-file fills the flags that argv leaves unset.
 
-    argparse itself decides which flags argv sets, in whatever form it accepts
-    (--key value, --key=value, an abbreviation): the file's values win on a parse
-    of argv plus the file, and argv's own values win wherever a parse of argv
-    alone, with the subcommand's defaults masked, sets them."""
+    The file's flags go between the command and argv's own, closed by the
+    --config-file flag itself, so that a list such as --radii ends there.
+    argparse keeps the last value it reads for a flag, in whatever form
+    argv gives it (--key value, --key=value, an abbreviation): argv wins."""
     args = parser.parse_args(argv)
     if args.config_file is None:
         return args
-    with_file = parser.parse_args(argv + _as_values(_read_config_file(args.config_file)))
-    moved = [k for k, v in vars(with_file).items() if getattr(args, k, None) != v]
-    unset = object()
-    args.parser.set_defaults(**dict.fromkeys(moved, unset))
-    given = parser.parse_args(argv)
-    for k in moved:
-        setattr(args, k, getattr(with_file if getattr(given, k) is unset else given, k))
-    return args
+    from_file = _as_values(_read_config_file(args.config_file))
+    return parser.parse_args(argv[:1] + from_file + [f"--config-file={args.config_file}"]
+                             + argv[1:])
 
 
 def _as_values(argv):
@@ -396,7 +353,8 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:
-        args.fn(args)
+        payload, table = args.fn(args)
+        _emit(args, {"run": _run_config(args), **payload}, table)
     except (quad.PanelBudgetError, variety.HypothesisError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1

@@ -25,6 +25,7 @@ from .poly import (
 from .theta import shell_series_term
 
 _MARGIN_ROWS = 64  # phases per grid evaluation in e_set_margins
+_MARGIN_GRID = 32  # sample points per side of the square in e_set_margins
 _PAIR_ROWS = 256  # first boxes per block of pairs in disjointness_check
 
 
@@ -106,7 +107,7 @@ def box_to_alpha(region: BoxRegion, beta: np.ndarray) -> np.ndarray:
 
 
 def e_set_margins(n: int, m: int, alphas: np.ndarray, k: int,
-                  square: tuple[float, float, int], grid: int = 32) -> np.ndarray:
+                  square: tuple[float, float, int]) -> np.ndarray:
     """Max of |grad F|^2 - 1/(2k) on a sample grid over the square below (u1, u2),
     for each phase F of degrees (n, m) given by a row of alphas (graded order).
 
@@ -121,8 +122,8 @@ def e_set_margins(n: int, m: int, alphas: np.ndarray, k: int,
     y_lo, y_hi = max(u2 - 1.0 / P, 0.0), min(u2, 1.0)
     if x_lo >= x_hi or y_lo >= y_hi:
         raise ValueError("square does not intersect the unit square")
-    xs = np.linspace(x_lo, x_hi, grid)
-    ys = np.linspace(y_lo, y_hi, grid)
+    xs = np.linspace(x_lo, x_hi, _MARGIN_GRID)
+    ys = np.linspace(y_lo, y_hi, _MARGIN_GRID)
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     C = np.zeros((n + 1, m + 1, alphas.shape[0]))
     for r, (i, j) in enumerate(monomial_indices(n, m)):
@@ -139,10 +140,9 @@ def e_set_margins(n: int, m: int, alphas: np.ndarray, k: int,
     return out - 1.0 / (2.0 * k)
 
 
-def e_set_margin(F: PolySpec, k: int, square: tuple[float, float, int],
-                 grid: int = 32) -> float:
+def e_set_margin(F: PolySpec, k: int, square: tuple[float, float, int]) -> float:
     """e_set_margins for the single phase F."""
-    return float(e_set_margins(F.n, F.m, F.coeff_vector(), k, square, grid)[0])
+    return float(e_set_margins(F.n, F.m, F.coeff_vector(), k, square)[0])
 
 
 def boxes_disjoint(r1: BoxRegion, r2: BoxRegion) -> bool:

@@ -9,7 +9,6 @@ direct Taylor-shift of the coefficients.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -150,10 +149,6 @@ class PolySpec:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial object: {exc}") from exc
         return cls(n, m, coeffs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolySpec":
-        return cls.from_json_dict(json.loads(text))
 
 
 def taylor_recenter(F: PolySpec, u1: float, u2: float):

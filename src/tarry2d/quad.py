@@ -216,9 +216,12 @@ def _batch_J(n: int, m: int, rows: np.ndarray, tol: float, workers: int = 1,
     may span rules, run on up to `workers` threads; the cut depends only on the rows
     and tol, so every value is bitwise independent of `workers`."""
     pows = [np.array(p, dtype=float) for p in zip(*monomial_indices(n, m))][: 1 + (m > 1)]
-    with np.errstate(over="ignore"):  # an infinite variation raises PanelBudgetError
-        rules = [(V, *_size(V, d, tol if m == 1 else tol / 2))
-                 for V, d in zip([np.abs(rows) @ p for p in pows], (n, m))]
+    try:
+        with np.errstate(over="ignore"):  # an infinite variation raises PanelBudgetError
+            rules = [(V, *_size(V, d, tol if m == 1 else tol / 2))
+                     for V, d in zip([np.abs(rows) @ p for p in pows], (n, m))]
+    except ValueError:  # tol / 2 beyond the reach, or 0 for the least tol: name tol
+        raise ValueError(f"tol {tol} is below the reach of the error bound") from None
     nodes = math.prod(q * M for _, q, M in rules)
     if np.max(nodes) > max_nodes:
         raise PanelBudgetError(

@@ -29,18 +29,11 @@ class ThetaEstimate:
     n: int
     m: int
     k: int
-    radius: float
+    R: float
     value: float
     std_error: float
     n_samples: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "k": self.k, "R": self.radius,
-            "value": self.value, "std_error": self.std_error,
-            "n_samples": self.n_samples, "seed": self.seed,
-        }
 
 
 def _shell_bounds(R: float) -> list[tuple[float, float]]:
@@ -159,7 +152,7 @@ def theta_truncated(
     value = float(sum(vols[l] * mean[l] for l in range(len(shells))))
     var = float(sum(vols[l] ** 2 * var_l[l] for l in range(len(shells))))
     return ThetaEstimate(
-        n=n, m=m, k=k, radius=float(R), value=value,
+        n=n, m=m, k=k, R=float(R), value=value,
         std_error=math.sqrt(var),
         n_samples=int(alloc.sum()) + n_pilot_per * len(shells),
         seed=seed,
@@ -239,17 +232,6 @@ class GrowthReport:
     fitted_exponent_se: float
     classification: str
     theorem_sign: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "k": self.k,
-            "radii": list(self.radii),
-            "estimates": [e.to_dict() for e in self.estimates],
-            "fitted_exponent": self.fitted_exponent,
-            "fitted_exponent_se": self.fitted_exponent_se,
-            "classification": self.classification,
-            "theorem_sign": self.theorem_sign,
-        }
 
 
 def growth_diagnostic(

@@ -97,9 +97,12 @@ def gram_dets(x: np.ndarray, y: np.ndarray, n: int, m: int) -> np.ndarray:
     """Gram determinants det(D D^T) for a batch of point sets, shape (S,).
 
     x, y as in jacobi_batch.  Signs square away, so this is also the Gram
-    determinant of the signed system.  Round-off negatives read 0.
+    determinant of the signed system.  A translation of a set changes D by a
+    unipotent row operation, which leaves det(D D^T) as it is, so each set is
+    first centred at its mean: its powers then lose fewer digits to
+    cancellation.  Round-off negatives read 0.
     """
-    D = jacobi_batch(x, y, n, m)
+    D = jacobi_batch(x - x.mean(axis=0), y - y.mean(axis=0), n, m)
     N = D.shape[0]
     G = np.empty((x.shape[1], N, N))
     for a in range(N):
@@ -207,21 +210,6 @@ class SurfaceMeasureEstimate:
     effective_sample_size: float
     seed: int
     weight: str
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "k": self.k,
-            "h": self.h,
-            "value": self.value,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "n_accepted": self.n_accepted,
-            "effective_sample_size": self.effective_sample_size,
-            "seed": self.seed,
-            "weight": self.weight,
-        }
 
 
 def thin_shell_measure(

@@ -132,6 +132,34 @@ class TestFormatsAndOutput:
         assert lines[0] == "n,m,k,R,value,std_error,n_samples,seed"
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["theta", "1", "1", "1", "2", "--samples", "1000"],
+        ["diagnose", "1", "1", "1", "--radii", "2", "4", "8", "--samples", "2000"],
+        ["boxes", "1", "1", "1", "--scales", "1", "2", "--beta-samples", "5"],
+    ])
+    def test_csv_header_is_the_json_row_keys(self, capsys, argv):
+        obj = json.loads(run_cli(capsys, *argv)[1])
+        del obj["run"]
+        rows = obj.get("estimates") or obj.get("sweep") or [obj]
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[0].split(",") == list(rows[0])
+        assert len(lines) == 1 + len(rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["parseval", "0.3", "5"], ["exponent", "1", "1"], ["integral", "phase_1_1.json"],
+        ["gram", "points_2_1.json", "--n", "1", "--m", "1"],
+        ["thinshell", "1", "1", "2", "--samples", "1000"],
+    ])
+    def test_format_without_a_table_is_input_error(self, capsys, monkeypatch, argv):
+        monkeypatch.chdir(DATA)
+        code = cli.main([*argv, "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("input error:")
+
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "out.json"
         code, out = run_cli(capsys, "exponent", "1", "1",
@@ -194,6 +222,53 @@ class TestFormatsAndOutput:
         assert code == 2
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "--config-file" in captured.err
+
+
+class TestRunBlock:
+    def test_thinshell_records_level_and_form(self, capsys):
+        code, out = run_cli(capsys, "thinshell", "1", "1", "2", "--u", "0.3",
+                            "--h", "0.05", "--samples", "1000")
+        run = json.loads(out)["run"]
+        assert code == 0
+        assert (run["u"], run["theta_form"], run["weight"]) == (0.3, False, "none")
+
+    def test_gram_records_point_file(self, capsys, tmp_path):
+        path = write_config(tmp_path)
+        code, out = run_cli(capsys, "gram", str(path), "--n", "1", "--m", "1")
+        assert code == 0
+        assert json.loads(out)["run"]["config"] == str(path)
+
+    def test_boxes_records_beta_samples(self, capsys):
+        code, out = run_cli(capsys, "boxes", "1", "1", "1", "--scales", "1", "2",
+                            "--beta-samples", "5")
+        assert code == 0
+        assert json.loads(out)["run"]["beta_samples"] == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["theta", "1", "1", "1", "2", "--samples", "1000"],
+        ["thinshell", "1", "1", "2", "--h", "0.05", "--samples", "1000"],
+        ["boxes", "1", "1", "1", "--scales", "1"],
+        ["gram", "points_2_1.json", "--n", "1", "--m", "1"],
+    ])
+    def test_never_holds_workers_or_output(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(DATA)
+        dest = tmp_path / "out.json"
+        code, out = run_cli(capsys, *argv, "--workers", "2", "--output", str(dest))
+        run = json.loads(dest.read_text())["run"]
+        assert (code, out) == (0, "")
+        assert "workers" not in run and "output" not in run
+        assert run["seed"] == cli.DEFAULT_SEED
+
+    def test_config_file_list_is_closed_before_arguments(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("radii=2 4 8\nsamples=2000\n")
+        code, out = run_cli(capsys, "diagnose", "1", "1", "1", "--config-file", str(cfgfile))
+        run = json.loads(out)["run"]
+        assert code == 0
+        assert (run["radii"], run["samples"], run["config_file"]) == ([2, 4, 8], 2000, str(cfgfile))
+        code, out = run_cli(capsys, "diagnose", "1", "1", "1", "--radii", "3", "6", "9",
+                            "--config-file", str(cfgfile))
+        assert json.loads(out)["run"]["radii"] == [3, 6, 9]
 
 
 class TestOtherCommands:
@@ -391,6 +466,17 @@ class TestInputContract:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("input error:") and "tol" in captured.err
+
+    @pytest.mark.parametrize("tol", ["5e-324", "1e-300"])
+    def test_tol_beyond_reach_on_tensor_phase(self, capsys, tmp_path, tol):
+        # the tensor rule sizes each direction at tol / 2: the message names tol
+        path = tmp_path / "phase.json"
+        path.write_text(json.dumps(PolySpec(2, 2, {(1, 1): 1.0, (2, 2): 0.5}).to_json_dict()))
+        code = cli.main(["integral", str(path), "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"input error: tol {float(tol)} is below the reach of the error bound\n"
 
     def test_infinite_coordinate_in_point_file(self, capsys, tmp_path):
         path = tmp_path / "inf.json"

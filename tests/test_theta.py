@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ class TestThetaTruncated:
 
     def test_to_dict_keys(self):
         est = theta_truncated(1, 1, 1, 2.0, 5_000, seed=15)
-        assert set(est.to_dict()) == {
+        assert set(asdict(est)) == {
             "n", "m", "k", "R", "value", "std_error", "n_samples", "seed"
         }
 
@@ -300,7 +301,7 @@ class TestGrowthDiagnostic:
 
     def test_to_dict_shape(self):
         rep = growth_diagnostic(1, 1, 1, [2.0, 4.0, 8.0], 5_000, seed=23)
-        d = rep.to_dict()
+        d = asdict(rep)
         assert d["radii"] == [2.0, 4.0, 8.0]
         assert len(d["estimates"]) == 3
         assert d["classification"] in ("convergent", "divergent", "inconclusive")

@@ -1,5 +1,7 @@
 import math
+from dataclasses import asdict
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,26 @@ class TestGram:
             g = gram_G0(cfg, 1, 1)
             g2 = gram_G0(translate_solution(cfg, a, b), 1, 1)
             assert g2 == pytest.approx(g, rel=1e-9, abs=1e-15)
+
+    def test_translation_invariance_ill_conditioned_set(self):
+        # an ill-conditioned set: with powers formed at the points as given,
+        # not about their mean, this shift moved G0 by 1.1e-9 relative
+        pts = [[0.48140895550802865, 0.014833769918360273],
+               [0.4161836203933381, 0.7754457609755137],
+               [0.5537377969831526, 0.8637252709675081],
+               [0.4722526668258642, 0.5601244090595013]]
+        cfg = PointConfig(2, np.array(pts))
+        g = gram_G0(cfg, 2, 1)
+        g2 = gram_G0(translate_solution(cfg, 0.4698640892129322, 0.8504309003387187), 2, 1)
+        assert abs(g2 - g) <= 1e-9 * g
+        with mpmath.workdps(40):  # det(A A^T) with A's entries at 40 digits
+            A = mpmath.matrix([
+                [c for e, (x, y) in zip((1, 1, -1, -1), pts)
+                 for c in (e * i * mpmath.mpf(x) ** (i - 1) * mpmath.mpf(y) ** j if i else 0,
+                           e * j * mpmath.mpf(x) ** i * mpmath.mpf(y) ** (j - 1) if j else 0)]
+                for i, j in monomial_indices(2, 1)])
+            exact = float(mpmath.det(A * A.T))
+        assert abs(g - exact) <= 1e-9 * exact
 
     def test_scaling_law(self):
         rng = np.random.default_rng(9)
@@ -269,7 +291,7 @@ class TestThinShell:
         w = thin_shell_measure(1, 1, 2, np.zeros(3), 0.05, 200_000, seed=34,
                                weight="sqrtG0")
         assert 0 < w.effective_sample_size < w.n_accepted
-        assert w.to_dict()["effective_sample_size"] == w.effective_sample_size
+        assert asdict(w)["effective_sample_size"] == w.effective_sample_size
 
     def test_matches_plain_mc_oracle(self):
         n, m, k, h = 1, 1, 1, 0.05
