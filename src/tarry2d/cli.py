@@ -179,22 +179,8 @@ def cmd_thinshell(args):
 
 
 def cmd_boxes(args):
+    sweep = lowerbound.box_sweep(args.n, args.m, args.k, args.scales, args.beta_samples, args.seed)
     report = lowerbound.disjointness_check(args.n, args.m, args.k, args.scales)
-    sweep = []
-    for P in sorted(args.scales):
-        for nu in range(1, P + 1):
-            for mu in range(1, P + 1):
-                region = lowerbound.box_bounds(args.n, args.m, args.k, P, nu, mu)
-                rng = np.random.Generator(
-                    np.random.Philox(key=(args.seed << 32) + (P << 16) + (nu << 8) + mu)
-                )
-                betas = lowerbound.sample_box(region, rng, args.beta_samples)
-                alphas = lowerbound.box_to_alpha(region, betas)
-                margins = lowerbound.e_set_margins(
-                    args.n, args.m, alphas, args.k, (nu / P, mu / P, P))
-                sweep.append({"P": P, "nu": nu, "mu": mu,
-                              "volume": lowerbound.box_volume(region),
-                              "margin_max": float(margins.max())})
     return {"disjointness": report.to_dict(), "sweep": sweep}, sweep
 
 

@@ -6,7 +6,9 @@ while the top coefficient sits in [c P^(n+m-1)/2, c P^(n+m-1)].  Any phase
 drawn from a box has gradient norm at most 1/sqrt(2k) on the grid square
 below its center, boxes at distinct centers or distinct dyadic scales are
 pairwise disjoint in original coefficients, and the box volumes produce the
-dyadic series whose exponent sign decides divergence.
+dyadic series whose exponent sign decides divergence.  disjointness_check
+tests the disjointness over all pairs of boxes; box_sweep tests the gradient
+bound on draws from every box of every scale, all in one array pass.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from .poly import (
 )
 from .theta import shell_series_term
 
-_MARGIN_ROWS = 64  # phases per grid evaluation in e_set_margins
+_MARGIN_ROWS = 256  # phases per grid evaluation in e_set_margins
 _MARGIN_GRID = 32  # sample points per side of the square in e_set_margins
 _PAIR_ROWS = 256  # first boxes per block of pairs in disjointness_check
+_MAX_SCALE = 256  # largest scale whose boxes all get distinct stream keys in box_sweep
 
 
 def c_constant(n: int, m: int, k: int) -> float:
@@ -38,7 +41,8 @@ def c_constant(n: int, m: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class BoxRegion:
-    """Per-index coefficient intervals in beta coordinates at center (nu/P, mu/P)."""
+    """Per-index coefficient intervals in beta coordinates at center (nu/P, mu/P).
+    Arrays P, nu, mu, with one row of lower and upper each, hold a batch of boxes."""
 
     n: int
     m: int
@@ -70,16 +74,10 @@ def box_bounds(n: int, m: int, k: int, P: int, nu: int, mu: int) -> BoxRegion:
         raise ValueError(f"center indices must lie in 1..{P}, got ({nu}, {mu})")
     c = c_constant(n, m, k)
     idx = monomial_indices(n, m)
-    lower = np.empty(len(idx))
-    upper = np.empty(len(idx))
-    for r, (i, j) in enumerate(idx):
-        if (i, j) == (n, m):
-            lower[r] = 0.5 * c * P ** (n + m - 1)
-            upper[r] = c * P ** (n + m - 1)
-        else:
-            half = 0.1 * c * P ** (i + j - 1)
-            lower[r] = -half
-            upper[r] = half
+    upper = np.array([0.1 * c * P ** (i + j - 1) for i, j in idx])
+    lower = -upper
+    top = idx.index((n, m))
+    lower[top], upper[top] = 0.5 * c * P ** (n + m - 1), c * P ** (n + m - 1)
     return BoxRegion(n, m, k, P, nu, mu, lower, upper)
 
 
@@ -101,48 +99,83 @@ def sample_box(region: BoxRegion, rng: np.random.Generator, size: int) -> np.nda
 
 
 def box_to_alpha(region: BoxRegion, beta: np.ndarray) -> np.ndarray:
-    """Map beta draws from the box to original coefficients at the box center."""
-    u1, u2 = region.center
-    return beta_to_alpha(region.n, region.m, u1, u2, np.atleast_2d(beta))
+    """Map beta draws from the box to original coefficients at the box center, one
+    row per draw; a region of arrays P, nu, mu maps draws (boxes, draws, N)."""
+    u1, u2 = (np.expand_dims(u, -1) for u in region.center)
+    return beta_to_alpha(region.n, region.m, u1, u2, beta).reshape(-1, len(region.indices))
 
 
-def e_set_margins(n: int, m: int, alphas: np.ndarray, k: int,
-                  square: tuple[float, float, int]) -> np.ndarray:
+def _horner_grid(C: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """sum C[i, j, r] x^i y^j at each (xs[r, a], ys[r, b]), by polyval2d's
+    steps: Horner in x, then in y.  The b axis has length 1 if j is 0 only."""
+    acc = C[-1][..., None] + 0.0 * xs
+    for c in C[-2::-1]:
+        acc = acc * xs + c[..., None]
+    out = acc[-1][..., None]
+    for c in acc[-2::-1]:
+        out = out * ys[:, None, :]
+        out += c[..., None]
+    return out
+
+
+def e_set_margins(n: int, m: int, alphas: np.ndarray, k: int, square) -> np.ndarray:
     """Max of |grad F|^2 - 1/(2k) on a sample grid over the square below (u1, u2),
     for each phase F of degrees (n, m) given by a row of alphas (graded order).
 
-    The square is [u1 - 1/P, u1] x [u2 - 1/P, u2] intersected with the unit
-    square; a nonpositive margin certifies (to grid resolution) that the
-    square lies in the small-gradient set.  Every grid value takes the same
-    Horner steps as PolySpec.grad at that point, so a row's margin does not
-    depend on the rest of the batch.
+    The square (u1, u2, P), or one per row if they are arrays, is [u1 - 1/P,
+    u1] x [u2 - 1/P, u2] cut to the unit square; a nonpositive margin
+    certifies (to grid resolution) that it lies in the small-gradient set.
+    Each grid value takes PolySpec.grad's Horner steps at its point, so a
+    row's margin does not depend on the rest of the batch.
     """
-    u1, u2, P = square
-    x_lo, x_hi = max(u1 - 1.0 / P, 0.0), min(u1, 1.0)
-    y_lo, y_hi = max(u2 - 1.0 / P, 0.0), min(u2, 1.0)
-    if x_lo >= x_hi or y_lo >= y_hi:
-        raise ValueError("square does not intersect the unit square")
-    xs = np.linspace(x_lo, x_hi, _MARGIN_GRID)
-    ys = np.linspace(y_lo, y_hi, _MARGIN_GRID)
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
+    u = np.array(square[:2], dtype=float)
+    lo, hi = np.maximum(u - 1.0 / np.asarray(square[2]), 0.0), np.minimum(u, 1.0)
+    if np.any(lo >= hi):
+        raise ValueError("square does not intersect the unit square")
+    lo, hi = (np.broadcast_to(np.reshape(v, (2, -1)), (2, len(alphas))) for v in (lo, hi))
     C = np.zeros((n + 1, m + 1, alphas.shape[0]))
-    for r, (i, j) in enumerate(monomial_indices(n, m)):
-        C[i, j] = alphas[:, r]
+    C[tuple(np.array(monomial_indices(n, m)).T)] = alphas.T
     Cx = C[1:] * np.arange(1, n + 1)[:, None, None]
     Cy = C[:, 1:] * np.arange(1, m + 1)[None, :, None]
     out = np.empty(alphas.shape[0])
-    # rows in blocks, so the (rows, grid, grid) values stay small
-    for lo in range(0, out.size, _MARGIN_ROWS):
-        sl = slice(lo, lo + _MARGIN_ROWS)
-        fx = np.polynomial.polynomial.polygrid2d(xs, ys, Cx[..., sl])
-        fy = np.polynomial.polynomial.polygrid2d(xs, ys, Cy[..., sl])
-        out[sl] = np.max(fx * fx + fy * fy, axis=(1, 2))
+    # rows in blocks, so the (rows, grid, grid) values stay near 2 MB
+    for r in range(0, out.size, _MARGIN_ROWS):
+        sl = slice(r, r + _MARGIN_ROWS)
+        xs, ys = np.linspace(lo[:, sl], hi[:, sl], _MARGIN_GRID, axis=-1)
+        fx = _horner_grid(Cx[..., sl], xs, ys)
+        fx *= fx  # in place, so the squares and their sum add no (rows, grid, grid) temporaries
+        fx += _horner_grid(Cy[..., sl], xs, ys) ** 2
+        out[sl] = np.max(fx, axis=(1, 2))
     return out - 1.0 / (2.0 * k)
 
 
 def e_set_margin(F: PolySpec, k: int, square: tuple[float, float, int]) -> float:
     """e_set_margins for the single phase F."""
     return float(e_set_margins(F.n, F.m, F.coeff_vector(), k, square)[0])
+
+
+def box_sweep(n: int, m: int, k: int, scales, samples: int, seed: int) -> list[dict]:
+    """Volume and largest e_set_margins value of every box at the given dyadic
+    scales, in disjointness_check's order, over `samples` draws per box, all
+    recentred and evaluated in one batch.  Box (P, nu, mu) draws from its own
+    Philox stream, keyed (seed << 32) + (P << 16) + (nu << 8) + mu; the keys
+    are distinct only up to scale _MAX_SCALE, so larger scales are refused.
+    """
+    scales, centers = _centers(scales)
+    if scales[-1] > _MAX_SCALE:
+        raise ValueError(f"scales above {_MAX_SCALE} share random streams; got {scales[-1]}")
+    bounds = {P: box_bounds(n, m, k, P, 1, 1) for P in scales}  # the same at every center
+    betas = np.stack([sample_box(bounds[P], np.random.Generator(np.random.Philox(
+        key=(seed << 32) + (P << 16) + (nu << 8) + mu)), samples) for P, nu, mu in centers])
+    P, nu, mu = np.array(centers).T
+    batch = BoxRegion(n, m, k, P, nu, mu, *(np.array([getattr(bounds[p], side) for p in P.tolist()])
+                                            for side in ("lower", "upper")))
+    u1, u2, P = (np.repeat(v, samples) for v in (*batch.center, P))
+    margins = e_set_margins(n, m, box_to_alpha(batch, betas), k, (u1, u2, P)).reshape(-1, samples)
+    volume = {P: box_volume(b) for P, b in bounds.items()}
+    return [{"P": P, "nu": nu, "mu": mu, "volume": volume[P], "margin_max": top}
+            for (P, nu, mu), top in zip(centers, margins.max(axis=1).tolist())]
 
 
 def boxes_disjoint(r1: BoxRegion, r2: BoxRegion) -> bool:
@@ -222,16 +255,21 @@ def _pairs_disjoint(n: int, m: int, k: int, P, nu, mu, i, j) -> np.ndarray:
                     (top_hi[i] <= top_lo[j]) | (top_hi[j] <= top_lo[i]))
 
 
-def disjointness_check(n: int, m: int, k: int, scales) -> DisjointnessReport:
-    """Check pairwise disjointness of all boxes across the given dyadic scales."""
+def _centers(scales) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The scales in increasing order, each at least 1 and double the last, and
+    every box (P, nu, mu) at them, in the order the checks report boxes."""
     scales = sorted(int(P) for P in scales)
     if not scales or scales[0] < 1:
         raise ValueError(f"need one or more scales, each at least 1; got {scales}")
     for a, b in zip(scales, scales[1:]):
         if b < 2 * a:
             raise ValueError("scales must be dyadic: each at least double the last")
-    centers = [(P, nu, mu) for P in scales
-               for nu in range(1, P + 1) for mu in range(1, P + 1)]
+    return scales, [(P, nu, mu) for P in scales for nu in range(1, P + 1) for mu in range(1, P + 1)]
+
+
+def disjointness_check(n: int, m: int, k: int, scales) -> DisjointnessReport:
+    """Check pairwise disjointness of all boxes across the given dyadic scales."""
+    scales, centers = _centers(scales)
     P, nu, mu = np.array(centers).T
     violations = []
     for lo in range(0, len(centers), _PAIR_ROWS):

@@ -178,7 +178,7 @@ def taylor_recenter(F: PolySpec, u1: float, u2: float):
     return beta, float(B[0, 0])
 
 
-def recoeff_matrix(n: int, m: int, u1: float, u2: float) -> np.ndarray:
+def recoeff_matrix(n: int, m: int, u1, u2) -> np.ndarray:
     """N x N lower-unitriangular matrix U mapping recentered to original coefficients.
 
     Rows and columns are indexed by the graded index order taken in
@@ -186,39 +186,35 @@ def recoeff_matrix(n: int, m: int, u1: float, u2: float) -> np.ndarray:
     the map is triangular with unit diagonal: with beta_desc the recentered
     coefficients listed from the top index down, U @ beta_desc gives the
     original coefficients alpha in the same descending arrangement.  Use
-    beta_to_alpha for vectors kept in ascending order.
+    beta_to_alpha for vectors kept in ascending order.  Arrays u1 and u2 of
+    one shape give one matrix per center, shape u1.shape + (N, N).
     """
     idx_desc = monomial_indices(n, m)[::-1]
     pos = {ij: r for r, ij in enumerate(idx_desc)}
     N = len(idx_desc)
-    U = np.zeros((N, N))
+    # powers by Python's float ** int: numpy's power rounds some of them differently
+    x, y = (np.frompyfunc(pow, 2, 1)(np.asarray(u, dtype=float)[..., None], np.arange(d + 1))
+            .astype(float) for u, d in ((u1, n), (u2, m)))
+    U = np.zeros(x.shape[:-1] + (N, N))
     for (s, t), r in pos.items():
         for p in range(s, n + 1):
             for q in range(t, m + 1):
                 if p + q == 0:
                     continue
                 c = pos[(p, q)]
-                U[r, c] = (
-                    (-1) ** (p - s + q - t)
-                    * math.comb(p, s)
-                    * math.comb(q, t)
-                    * u1 ** (p - s)
-                    * u2 ** (q - t)
-                )
+                U[..., r, c] = ((-1) ** (p - s + q - t) * math.comb(p, s) * math.comb(q, t)
+                                * x[..., p - s] * y[..., q - t])
     return U
 
 
-def beta_to_alpha(n: int, m: int, u1: float, u2: float, beta) -> np.ndarray:
+def beta_to_alpha(n: int, m: int, u1, u2, beta) -> np.ndarray:
     """Map recentered coefficients (ascending graded order) back to original ones.
 
-    beta is one vector or a batch of rows.  Each row takes its own matvec
-    with U, so a row maps to the same bits alone or in any batch (one GEMM
-    over the batch would round some rows differently).
+    beta is one vector or a batch of rows; arrays u1 and u2 hold centers that
+    broadcast against beta's leading axes.  Each entry sums U's row times beta
+    from 0 in column order, as numpy's loop for U @ beta_desc does, so a row
+    maps to the same bits alone or in any batch (a GEMM would not).
     """
-    beta = np.asarray(beta, dtype=float)
     U = recoeff_matrix(n, m, u1, u2)
-    rows = np.atleast_2d(beta)
-    alpha = np.empty_like(rows)
-    for s, b in enumerate(rows):
-        alpha[s] = (U @ b[::-1])[::-1]
-    return alpha if beta.ndim > 1 else alpha[0]
+    b = np.asarray(beta, dtype=float)[..., ::-1]
+    return sum(U[..., c] * b[..., c, None] for c in range(b.shape[-1]))[..., ::-1]

@@ -190,9 +190,12 @@ def parseval_check(gamma: float, R: float, tol: float = 1e-3) -> ParsevalMass:
         raise ValueError(f"gamma must be finite, got {gamma}")
     quad._check_tol(tol)
     Vx, Vb = R + abs(gamma), 2.0 * R
-    quad._size(max(Vx, Vb), 1, tol)  # a V or tol out of reach fails here, in the caller's tol
-    (qx,), (Mx,) = quad._size(Vx, 1, tol / max(1.0, 16.0 * R * R))
-    (qb,), (Mb,) = quad._size(Vb, 1, tol / max(1.0, 8.0 * R * R))
+    quad._size(max(Vx, Vb), 1, tol)  # a V out of reach fails here, in the caller's tol
+    try:
+        (qx,), (Mx,) = quad._size(Vx, 1, tol / max(1.0, 16.0 * R * R))
+        (qb,), (Mb,) = quad._size(Vb, 1, tol / max(1.0, 8.0 * R * R))
+    except ValueError:  # a scaled tol beyond the reach: name tol
+        raise ValueError(f"tol {tol} is below the reach of the error bound") from None
     X, B = int(qx * Mx), int(qb * Mb)
     if X * max(X, 2 * B) > quad.MAX_NODES:
         raise quad.PanelBudgetError(f"mass too large for tolerance {tol}: {X} x and "

@@ -443,6 +443,9 @@ class TestInputContract:
         ["thinshell", "2", "2", "4", "--h", "1e-60", "--theta-form"],
         ["theta", "1"], ["nosuch"], ["theta", "1", "1", "1", "2", "--bogus"],
         ["theta", "1", "1", "1", "x"], ["boxes", "1", "1", "1", "--format", "xml"],
+        # box stream keys collide from scale 257 on
+        ["boxes", "1", "1", "1", "--scales", "512"],
+        ["boxes", "1", "1", "1", "--scales", "2", "300"],
     ])
     def test_one_line_exit_2(self, capsys, argv):
         code = cli.main(argv)
@@ -466,6 +469,14 @@ class TestInputContract:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("input error:") and "tol" in captured.err
+
+    def test_parseval_tol_beyond_reach_of_scaled_rule(self, capsys):
+        # tol itself is within reach, tol / (16 R^2) = 2.5e-193 is not: the message names tol
+        code = cli.main(["parseval", "0.3", "5", "--tol", "1e-190"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "input error: tol 1e-190 is below the reach of the error bound\n"
 
     @pytest.mark.parametrize("tol", ["5e-324", "1e-300"])
     def test_tol_beyond_reach_on_tensor_phase(self, capsys, tmp_path, tol):

@@ -162,6 +162,19 @@ def _scalar_margin(F, k, square, grid=32):
     return float(np.max(fx * fx + fy * fy) - 1.0 / (2.0 * k))
 
 
+def _polygrid_margins(n, m, alphas, k, square, grid=32):
+    """e_set_margins on one square as polygrid2d over the phases' derivatives."""
+    u1, u2, P = square
+    xs = np.linspace(max(u1 - 1.0 / P, 0.0), min(u1, 1.0), grid)
+    ys = np.linspace(max(u2 - 1.0 / P, 0.0), min(u2, 1.0), grid)
+    C = np.zeros((n + 1, m + 1, len(alphas)))
+    for r, (i, j) in enumerate(monomial_indices(n, m)):
+        C[i, j] = alphas[:, r]
+    fx = np.polynomial.polynomial.polygrid2d(xs, ys, C[1:] * np.arange(1, n + 1)[:, None, None])
+    fy = np.polynomial.polynomial.polygrid2d(xs, ys, C[:, 1:] * np.arange(1, m + 1)[None, :, None])
+    return np.max(fx * fx + fy * fy, axis=(1, 2)) - 1.0 / (2.0 * k)
+
+
 def _centers(scales):
     return [(P, nu, mu) for P in scales
             for nu in range(1, P + 1) for mu in range(1, P + 1)]
@@ -221,6 +234,32 @@ class TestBatchedSweep:
         want = [_scalar_margin(PolySpec.from_vector(n, m, a), k, (u1, u2, P))
                 for a in alphas]
         assert got.tolist() == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), k=st.integers(1, 4),
+           first=st.integers(1, 16), data=st.data(),
+           seed=st.integers(0, 2**31), samples=st.integers(1, 30))
+    def test_sweep_matches_per_box_loop(self, n, m, k, first, data, seed, samples):
+        scales = [first]
+        while 2 * scales[-1] <= 16 and data.draw(st.booleans()):
+            scales.append(data.draw(st.integers(2 * scales[-1], 16)))
+        want = []
+        for P, nu, mu in _centers(scales):
+            region = box_bounds(n, m, k, P, nu, mu)
+            rng = np.random.Generator(
+                np.random.Philox(key=(seed << 32) + (P << 16) + (nu << 8) + mu))
+            alphas = box_to_alpha(region, sample_box(region, rng, samples))
+            margins = _polygrid_margins(n, m, alphas, k, (nu / P, mu / P, P))
+            want.append({"P": P, "nu": nu, "mu": mu, "volume": box_volume(region),
+                         "margin_max": float(margins.max())})
+        assert lowerbound.box_sweep(n, m, k, scales, samples, seed) == want
+
+    def test_sweep_scale_cap(self):
+        # stream keys are distinct up to scale 256 and collide from 257 on
+        sweep = lowerbound.box_sweep(1, 1, 1, [256], 1, 3)
+        assert [(s["P"], s["nu"], s["mu"]) for s in sweep] == _centers([256])
+        with pytest.raises(ValueError, match="256"):
+            lowerbound.box_sweep(1, 1, 1, [2, 512], 1, 3)
 
     @pytest.mark.parametrize("scales", [[0, 2], [-2], []])
     def test_empty_sweep_rejected(self, scales):

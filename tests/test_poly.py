@@ -194,6 +194,24 @@ class TestRecoeffMatrix:
             assert np.array_equal(np.triu(U, 1), np.zeros((N, N)))
             assert np.array_equal(np.diag(U), np.ones(N))
 
+    @pytest.mark.parametrize("n,m", [(3, 3), (4, 2)])
+    def test_batch_rows_match_single_rows(self, n, m):
+        rng = np.random.default_rng(41)
+        N = monomial_count(n, m)
+        for _ in range(50):
+            u1, u2 = rng.uniform(-1, 1, 2)
+            rows = rng.standard_normal((7, N)) * 10.0 ** rng.uniform(-6, 6, (7, N))
+            batch = beta_to_alpha(n, m, u1, u2, rows)
+            assert np.array_equal(batch, np.stack([beta_to_alpha(n, m, u1, u2, b) for b in rows]))
+            U = recoeff_matrix(n, m, u1, u2)
+            assert np.array_equal(batch, np.stack([(U @ b[::-1])[::-1] for b in rows]))
+            # one center per row
+            us = rng.uniform(0, 1, (7, 2))
+            assert np.array_equal(recoeff_matrix(n, m, us[:, 0], us[:, 1]),
+                                  np.stack([recoeff_matrix(n, m, *u) for u in us]))
+            assert np.array_equal(beta_to_alpha(n, m, us[:, 0], us[:, 1], rows),
+                                  np.stack([beta_to_alpha(n, m, *u, b) for u, b in zip(us, rows)]))
+
     def test_consistency_with_taylor_recenter(self):
         rng = np.random.default_rng(37)
         for _ in range(50):
