@@ -22,6 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import lowerbound, poly, quad, theta, variety
+from .rng import philox_stream
 
 DEFAULT_SEED = 20240001
 _NO_WORKERS = "accepted for uniformity with the other seeded commands; has no effect"
@@ -142,8 +143,7 @@ def cmd_parseval(args):
 def cmd_gram(args):
     cfg = _load_json(args.config, variety.PointConfig)
     g0 = variety.gram_G0(cfg, args.n, args.m)
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
-    a, b = rng.uniform(-1.0, 1.0, 2)
+    a, b = philox_stream(args.seed, 5).uniform(-1.0, 1.0, 2)
     g_shift = variety.gram_G0(variety.translate_solution(cfg, a, b), args.n, args.m)
     lam = 2.0
     scaled = variety.PointConfig(cfg.k, cfg.points * lam)
@@ -169,10 +169,8 @@ def cmd_thinshell(args):
             workers=args.workers,
         )
     else:
-        N = poly.monomial_count(args.n, args.m)
-        u = np.full(N, args.u)
         est = variety.thin_shell_measure(
-            args.n, args.m, args.k, u, args.h, args.samples, args.seed,
+            args.n, args.m, args.k, args.u, args.h, args.samples, args.seed,
             weight=args.weight, workers=args.workers,
         )
     return asdict(est), None

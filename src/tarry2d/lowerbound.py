@@ -8,7 +8,7 @@ below its center, boxes at distinct centers or distinct dyadic scales are
 pairwise disjoint in original coefficients, and the box volumes produce the
 dyadic series whose exponent sign decides divergence.  disjointness_check
 tests the disjointness over all pairs of boxes; box_sweep tests the gradient
-bound on draws from every box of every scale, all in one array pass.
+bound on draws from every box of every scale, one stream per scale, in one pass.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from .poly import (
     monomial_count,
     monomial_indices,
 )
+from .rng import philox_stream
 from .theta import shell_series_term
 
 _MARGIN_ROWS = 256  # phases per grid evaluation in e_set_margins
 _MARGIN_GRID = 32  # sample points per side of the square in e_set_margins
 _PAIR_ROWS = 256  # first boxes per block of pairs in disjointness_check
-_MAX_SCALE = 256  # largest scale whose boxes all get distinct stream keys in box_sweep
+_MAX_SCALE = 256  # largest scale: 2.1e9 box pairs to check at 256 alone, 3.4e10 at 512
 
 
 def c_constant(n: int, m: int, k: int) -> float:
@@ -158,16 +159,16 @@ def e_set_margin(F: PolySpec, k: int, square: tuple[float, float, int]) -> float
 def box_sweep(n: int, m: int, k: int, scales, samples: int, seed: int) -> list[dict]:
     """Volume and largest e_set_margins value of every box at the given dyadic
     scales, in disjointness_check's order, over `samples` draws per box, all
-    recentred and evaluated in one batch.  Box (P, nu, mu) draws from its own
-    Philox stream, keyed (seed << 32) + (P << 16) + (nu << 8) + mu; the keys
-    are distinct only up to scale _MAX_SCALE, so larger scales are refused.
+    recentred and evaluated in one batch.  Scale P draws all its boxes' rows
+    in one sample_box call on stream (seed, 4, P), `samples` rows per box in
+    that order, so a box's draws do not depend on the other scales.
     """
     scales, centers = _centers(scales)
-    if scales[-1] > _MAX_SCALE:
-        raise ValueError(f"scales above {_MAX_SCALE} share random streams; got {scales[-1]}")
+    if samples < 1:
+        raise ValueError(f"need at least one draw per box, got {samples}")
     bounds = {P: box_bounds(n, m, k, P, 1, 1) for P in scales}  # the same at every center
-    betas = np.stack([sample_box(bounds[P], np.random.Generator(np.random.Philox(
-        key=(seed << 32) + (P << 16) + (nu << 8) + mu)), samples) for P, nu, mu in centers])
+    betas = np.concatenate([sample_box(bounds[P], philox_stream(seed, 4, P), P * P * samples)
+                            for P in scales]).reshape(len(centers), samples, -1)
     P, nu, mu = np.array(centers).T
     batch = BoxRegion(n, m, k, P, nu, mu, *(np.array([getattr(bounds[p], side) for p in P.tolist()])
                                             for side in ("lower", "upper")))
@@ -259,8 +260,8 @@ def _centers(scales) -> tuple[list[int], list[tuple[int, int, int]]]:
     """The scales in increasing order, each at least 1 and double the last, and
     every box (P, nu, mu) at them, in the order the checks report boxes."""
     scales = sorted(int(P) for P in scales)
-    if not scales or scales[0] < 1:
-        raise ValueError(f"need one or more scales, each at least 1; got {scales}")
+    if not scales or scales[0] < 1 or scales[-1] > _MAX_SCALE:
+        raise ValueError(f"need one or more scales, each in 1..{_MAX_SCALE}; got {scales}")
     for a, b in zip(scales, scales[1:]):
         if b < 2 * a:
             raise ValueError("scales must be dyadic: each at least double the last")

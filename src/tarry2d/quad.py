@@ -80,15 +80,15 @@ def _orient(n: int, m: int, rows: np.ndarray):
     return m, n, rows[..., [pos[(j, i)] for i, j in monomial_indices(m, n)]]
 
 
-def osc_integral(F: PolySpec, tol: float = 1e-8, max_evals: int = MAX_NODES) -> QuadResult:
+def osc_integral(F: PolySpec, tol: float = 1e-8) -> QuadResult:
     """J(F) within tol by _batch_J on one row.  abs_error_estimate is the rule's
     a-priori bound (at most tol), n_evals its node count; PanelBudgetError, before
-    any node is built, if that count would exceed max_evals."""
+    any node is built, if that count would exceed MAX_NODES."""
     _check_tol(tol)
     n, m, row = _orient(F.n, F.m, F.coeff_vector())
     if not row.any():
         return QuadResult(1.0 + 0.0j, 0.0, 1)
-    (value,), rules = _batch_J(n, m, row[None, :], tol, max_nodes=max_evals)
+    (value,), rules = _batch_J(n, m, row[None, :], tol)
     bound = sum(math.exp(_log_bound(q[0], M[0], V[0], d)) if V[0] else 0.0  # 0 where F is flat
                 for (V, q, M), d in zip(rules, (n, m)))
     return QuadResult(complex(value), bound, math.prod(int(q[0] * M[0]) for _, q, M in rules))
@@ -205,13 +205,12 @@ def _tensor_kernel(n: int, m: int, rows: np.ndarray, qx: int, Mx: int, qy: int, 
     return re + 1j * im
 
 
-def _batch_J(n: int, m: int, rows: np.ndarray, tol: float, workers: int = 1,
-             max_nodes: int = MAX_NODES):
+def _batch_J(n: int, m: int, rows: np.ndarray, tol: float, workers: int = 1):
     """J of the (S, N) rows of oriented (n, m) phases (see _orient), and per direction,
     x then y, the rows' variations and rules (V, q, M), from one _size call each.
 
     ValueError if tol is beyond the bound's reach, PanelBudgetError if a rule needs
-    over MAX_NODES nodes in a direction or max_nodes in all, both before any node is
+    over MAX_NODES nodes in a direction or in all, both before any node is
     built.  Rows sorted by rule are cut into tasks of about CHUNK_NODES nodes, which
     may span rules, run on up to `workers` threads; the cut depends only on the rows
     and tol, so every value is bitwise independent of `workers`."""
@@ -223,9 +222,9 @@ def _batch_J(n: int, m: int, rows: np.ndarray, tol: float, workers: int = 1,
     except ValueError:  # tol / 2 beyond the reach, or 0 for the least tol: name tol
         raise ValueError(f"tol {tol} is below the reach of the error bound") from None
     nodes = math.prod(q * M for _, q, M in rules)
-    if np.max(nodes) > max_nodes:
+    if np.max(nodes) > MAX_NODES:
         raise PanelBudgetError(
-            f"phase too large for tolerance {tol}: {np.max(nodes)} nodes > {max_nodes}")
+            f"phase too large for tolerance {tol}: {np.max(nodes)} nodes > {MAX_NODES}")
     keys = [k for _, q, M in rules for k in (q, M)]
     order = np.lexsort(keys[::-1])
     rows, nodes, keys = rows[order], nodes[order], [k[order] for k in keys]

@@ -1,15 +1,16 @@
 """Counter-based random streams.
 
-Every Monte Carlo loop draws from a Philox generator keyed by the user seed
-plus a structured stream tag, so any (shell, block) pair owns an independent
-stream and results are bitwise reproducible for any worker count.
+philox_stream is the one place a seed, any integer in [0, 2^64), becomes a
+generator: Philox keyed by the seed and tags led by a purpose tag, a stream
+independent of the others (Salmon et al., SC 2011) and of the worker count:
 
-Theta draws through `Generator.random`, one 64-bit word per double at 2^-53
-resolution.  The thin shell draws through `uniform32`: each raw Philox word
-gives two uniforms at 2^-32 resolution, low half first, which halves the
-generator work per coordinate.  numpy fixes the raw bit-generator stream
-across versions, but not `Generator.random`'s mapping, so thin-shell bytes
-rest only on the former.
+    0 ellipsoid (0,)         2 theta pilot (2, shell)         4 boxes (4, P)
+    1 thin shell (1, block)  3 theta main (3, shell, block)   5 gram (5,)
+
+Theta draws through `Generator.random`, one 64-bit word per double; the thin
+shell through `uniform32`, two 2^-32 uniforms per raw word, at half the
+generator work.  numpy fixes raw streams across versions but not that
+mapping, so thin-shell bytes rest only on the raw stream.
 """
 
 from __future__ import annotations
@@ -20,17 +21,16 @@ _MASK64 = (1 << 64) - 1
 
 
 def philox_stream(seed: int, *tags: int) -> np.random.Generator:
-    """Independent generator for a (seed, tags...) stream.
-
-    Tags are small nonnegative integers (phase, shell, block, ...); they are
-    packed into the low word of the 128-bit Philox key.
-    """
+    """Independent generator for the (seed, tags...) stream; ValueError for a
+    seed outside [0, 2^64) or a negative tag."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     mix = 0
     for t in tags:
         if t < 0:
             raise ValueError("stream tags must be nonnegative")
         mix = ((mix * 0x9E3779B97F4A7C15) + t + 1) & _MASK64
-    key = ((seed & _MASK64) << 64) | mix
+    key = (seed << 64) | mix
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -371,7 +371,7 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("workers", ["1", "2", "4"])
     def test_boxes_golden_output(self, capsys, workers):
-        # bytes of the per-phase sweep, before the batched sweep replaced it
+        # captured when each scale came to draw from one stream (seed, 4, P)
         golden = (Path(__file__).parent / "data" / "boxes_2_1_2_scales_2_4_8.json").read_text()
         code, out = run_cli(capsys, "boxes", "2", "1", "2", "--scales", "2", "4", "8",
                             "--workers", workers)
@@ -412,6 +412,8 @@ class TestGoldenOutputs:
         golden = (DATA / "exponent_2_2.json").read_text()
         assert run_cli(capsys, "exponent", "2", "2") == (0, golden)
 
+    # translation a, b, G0_shifted and abs_diff recaptured when the
+    # translation came to draw from stream (seed, 5)
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_gram(self, capsys, monkeypatch, workers):
         golden = (DATA / "gram_points_2_1_n_2_m_1_seed_3.json").read_text()
@@ -443,7 +445,7 @@ class TestInputContract:
         ["thinshell", "2", "2", "4", "--h", "1e-60", "--theta-form"],
         ["theta", "1"], ["nosuch"], ["theta", "1", "1", "1", "2", "--bogus"],
         ["theta", "1", "1", "1", "x"], ["boxes", "1", "1", "1", "--format", "xml"],
-        # box stream keys collide from scale 257 on
+        # scale 512 alone has 3.4e10 box pairs to check
         ["boxes", "1", "1", "1", "--scales", "512"],
         ["boxes", "1", "1", "1", "--scales", "2", "300"],
     ])
@@ -454,6 +456,24 @@ class TestInputContract:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("input error:")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", [
+        ["theta", "1", "1", "1", "2", "--samples", "500"],
+        ["diagnose", "1", "1", "1", "--samples", "500"],
+        ["thinshell", "1", "1", "2", "--samples", "500"],
+        ["gram", "points_2_1.json", "--n", "1", "--m", "1"],
+        ["boxes", "1", "1", "1"],
+    ])
+    def test_seed_outside_64_bits(self, capsys, monkeypatch, command, seed):
+        # every seeded command shares philox_stream's seed domain [0, 2^64)
+        monkeypatch.chdir(DATA)
+        code = cli.main([*command, "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("input error: seed must be in [0, 2**64)")
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("command", [

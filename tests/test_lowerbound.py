@@ -21,6 +21,7 @@ from tarry2d.lowerbound import (
     sample_box,
 )
 from tarry2d.poly import PolySpec, monomial_count, monomial_indices, recoeff_matrix
+from tarry2d.rng import philox_stream
 
 
 class TestConstant:
@@ -243,23 +244,32 @@ class TestBatchedSweep:
         scales = [first]
         while 2 * scales[-1] <= 16 and data.draw(st.booleans()):
             scales.append(data.draw(st.integers(2 * scales[-1], 16)))
+        # each scale's stream, cut into runs of `samples` rows box by box
+        draws = {P: sample_box(box_bounds(n, m, k, P, 1, 1), philox_stream(seed, 4, P),
+                               P * P * samples) for P in scales}
         want = []
         for P, nu, mu in _centers(scales):
             region = box_bounds(n, m, k, P, nu, mu)
-            rng = np.random.Generator(
-                np.random.Philox(key=(seed << 32) + (P << 16) + (nu << 8) + mu))
-            alphas = box_to_alpha(region, sample_box(region, rng, samples))
+            box = (nu - 1) * P + mu - 1
+            alphas = box_to_alpha(region, draws[P][box * samples : (box + 1) * samples])
             margins = _polygrid_margins(n, m, alphas, k, (nu / P, mu / P, P))
             want.append({"P": P, "nu": nu, "mu": mu, "volume": box_volume(region),
                          "margin_max": float(margins.max())})
         assert lowerbound.box_sweep(n, m, k, scales, samples, seed) == want
 
+    def test_scale_draws_do_not_depend_on_other_scales(self):
+        alone = lowerbound.box_sweep(2, 1, 2, [4], 7, 11)
+        both = lowerbound.box_sweep(2, 1, 2, [2, 4], 7, 11)
+        assert both[4:] == alone
+
     def test_sweep_scale_cap(self):
-        # stream keys are distinct up to scale 256 and collide from 257 on
+        # 2.1e9 box pairs at scale 256 alone, 3.4e10 at 512
         sweep = lowerbound.box_sweep(1, 1, 1, [256], 1, 3)
         assert [(s["P"], s["nu"], s["mu"]) for s in sweep] == _centers([256])
-        with pytest.raises(ValueError, match="256"):
-            lowerbound.box_sweep(1, 1, 1, [2, 512], 1, 3)
+        for check in (lambda scales: lowerbound.box_sweep(1, 1, 1, scales, 1, 3),
+                      lambda scales: disjointness_check(1, 1, 1, scales)):
+            with pytest.raises(ValueError, match="256"):
+                check([2, 512])
 
     @pytest.mark.parametrize("scales", [[0, 2], [-2], []])
     def test_empty_sweep_rejected(self, scales):

@@ -171,9 +171,11 @@ class TestInvariants:
         assert res.value == pytest.approx(one_dim(a) * one_dim(b), abs=1e-9)
 
     def test_budget_error(self):
-        F = PolySpec(1, 1, {(1, 0): 1e6})
-        with pytest.raises(PanelBudgetError):
-            osc_integral(F, tol=1e-12, max_evals=10_000)
+        # each direction's rule fits (12704 nodes), but their product, 1.6e8,
+        # exceeds MAX_NODES = 2^26
+        F = PolySpec(2, 2, {(2, 2): 2000})
+        with pytest.raises(PanelBudgetError, match="phase too large"):
+            osc_integral(F, tol=1e-12)
 
     @pytest.mark.parametrize("coeffs", [
         {(1, 0): 1e300}, {(1, 0): 1e308}, {(1, 1): 1e308}, {(2, 2): 1e300}, {(2, 2): 1e308},

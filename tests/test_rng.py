@@ -6,6 +6,38 @@ import pytest
 from tarry2d.rng import philox_stream, uniform32
 
 
+def _key(seed, *tags):
+    key = philox_stream(seed, *tags).bit_generator.state["state"]["key"]
+    return int(key[0]), int(key[1])
+
+
+class TestPhiloxStream:
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            philox_stream(seed, 3, 0, 0)
+
+    def test_rejects_negative_tag(self):
+        with pytest.raises(ValueError, match="tags must be nonnegative"):
+            philox_stream(7, 3, -1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_seed_is_the_high_key_word(self, seed):
+        assert _key(seed, 4, 8)[1] == seed
+        assert _key(seed, 4, 8)[0] == _key(0, 4, 8)[0]
+
+    def test_package_tags_get_distinct_keys(self):
+        # every tag tuple the package draws from, over ranges it reaches:
+        # 2^28 thin-shell draws, 64 theta shells (R up to 2^62), 2^22 main
+        # draws per shell, and every box scale up to lowerbound._MAX_SCALE
+        tags = [(0,), (5,)]
+        tags += [(1, b) for b in range(1 << 12)]
+        tags += [(2, l) for l in range(64)]
+        tags += [(3, l, blk) for l in range(64) for blk in range(512)]
+        tags += [(4, P) for P in range(1, 257)]
+        assert len({_key(0, *t)[0] for t in tags}) == len(tags)
+
+
 class TestUniform32:
     @pytest.mark.parametrize("rows, size", [(6, 5), (3, 5), (1, 1)])
     def test_interleaves_word_halves_low_first(self, rows, size):
