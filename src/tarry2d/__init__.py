@@ -16,7 +16,6 @@ from .theta import (
     ThetaEstimate,
     growth_diagnostic,
     parseval_check,
-    shell_series_term,
     theta_truncated,
 )
 from .variety import (
@@ -41,6 +40,7 @@ from .lowerbound import (
     disjointness_check,
     divergence_partial_sum,
     e_set_margin,
+    shell_series_term,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import lowerbound, poly, quad, theta, variety
-from .rng import philox_stream
+from .rng import philox_stream, uniform32
 
 DEFAULT_SEED = 20240001
 _NO_WORKERS = "accepted for uniformity with the other seeded commands; has no effect"
@@ -143,7 +143,7 @@ def cmd_parseval(args):
 def cmd_gram(args):
     cfg = _load_json(args.config, variety.PointConfig)
     g0 = variety.gram_G0(cfg, args.n, args.m)
-    a, b = philox_stream(args.seed, 5).uniform(-1.0, 1.0, 2)
+    a, b = (2.0 * uniform32(philox_stream(args.seed, 5), 1, 2)[0] - 1.0).tolist()
     g_shift = variety.gram_G0(variety.translate_solution(cfg, a, b), args.n, args.m)
     lam = 2.0
     scaled = variety.PointConfig(cfg.k, cfg.points * lam)

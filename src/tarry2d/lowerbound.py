@@ -21,11 +21,11 @@ import numpy as np
 from .poly import (
     PolySpec,
     beta_to_alpha,
+    critical_threshold,
     monomial_count,
     monomial_indices,
 )
 from .rng import philox_stream
-from .theta import shell_series_term
 
 _MARGIN_ROWS = 256  # phases per grid evaluation in e_set_margins
 _MARGIN_GRID = 32  # sample points per side of the square in e_set_margins
@@ -92,11 +92,21 @@ def box_volume_exponent(n: int, m: int) -> int:
     return (n + m) * (n + 1) * (m + 1) // 2 - monomial_count(n, m)
 
 
-def sample_box(region: BoxRegion, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform beta draws from the box, shape (size, N), ascending index order."""
+def shell_series_term(n: int, m: int, k: int, l: int) -> float:
+    """Term 2^(l e) of the dyadic lower-bound series, e = -4k + critical threshold."""
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    e = critical_threshold(n, m) - 4 * k
+    return 2.0 ** (l * e)
+
+
+def sample_box(region: BoxRegion, bitgen, size: int) -> np.ndarray:
+    """Uniform beta draws from the box on a philox_stream bit generator, shape
+    (size, N), ascending index order; by Generator.uniform, not rng.uniform32,
+    until the (1,1) boxes meet their gradient bound (ROADMAP item 6)."""
     if size < 1:
         raise ValueError(f"need at least one draw per box, got {size}")
-    return rng.uniform(region.lower, region.upper, (size, len(region.lower)))
+    return np.random.Generator(bitgen).uniform(region.lower, region.upper, (size, len(region.lower)))
 
 
 def box_to_alpha(region: BoxRegion, beta: np.ndarray) -> np.ndarray:

@@ -1,16 +1,16 @@
 """Counter-based random streams.
 
 philox_stream is the one place a seed, any integer in [0, 2^64), becomes a
-generator: Philox keyed by the seed and tags led by a purpose tag, a stream
-independent of the others (Salmon et al., SC 2011) and of the worker count:
+bit generator: Philox keyed by the seed and tags led by a purpose tag, a
+stream independent of the others (Salmon et al., SC 2011) and of the worker
+count.  R is the IEEE-754 bit pattern of theta's float64 radius:
 
-    0 ellipsoid (0,)         2 theta pilot (2, shell)         4 boxes (4, P)
-    1 thin shell (1, block)  3 theta main (3, shell, block)   5 gram (5,)
+    0 ellipsoid (0,)         2 theta pilot (2, R, shell)         4 boxes (4, P)
+    1 thin shell (1, block)  3 theta main (3, R, shell, block)   5 gram (5,)
 
-Theta draws through `Generator.random`, one 64-bit word per double; the thin
-shell through `uniform32`, two 2^-32 uniforms per raw word, at half the
-generator work.  numpy fixes raw streams across versions but not that
-mapping, so thin-shell bytes rest only on the raw stream.
+uniform32 maps raw words to floats, two 2^-32 uniforms per word; a draw on
+[lo, hi) is lo + (hi - lo) u.  numpy fixes raw streams across versions, so
+outputs rest on the raw stream alone, bar boxes (see lowerbound.sample_box).
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def philox_stream(seed: int, *tags: int) -> np.random.Generator:
-    """Independent generator for the (seed, tags...) stream; ValueError for a
-    seed outside [0, 2^64) or a negative tag."""
+def philox_stream(seed: int, *tags: int) -> np.random.Philox:
+    """Bit generator of the (seed, tags...) stream; ValueError for a seed
+    outside [0, 2^64) or a negative tag."""
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     mix = 0
@@ -30,18 +30,17 @@ def philox_stream(seed: int, *tags: int) -> np.random.Generator:
         if t < 0:
             raise ValueError("stream tags must be nonnegative")
         mix = ((mix * 0x9E3779B97F4A7C15) + t + 1) & _MASK64
-    key = (seed << 64) | mix
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Philox(key=(seed << 64) | mix)
 
 
-def uniform32(rng: np.random.Generator, rows: int, size: int) -> np.ndarray:
+def uniform32(bitgen: np.random.Philox, rows: int, size: int) -> np.ndarray:
     """(rows, size) C-ordered float64 uniforms on [0, 1), multiples of 2^-32.
 
     Value t comes from half t % 2 of raw word t // 2, the low half first; an
     odd count leaves the high half of the last word unused.
     """
     count = rows * size
-    raw = rng.bit_generator.random_raw((count + 1) // 2)
+    raw = bitgen.random_raw((count + 1) // 2)
     # the "<u8" view orders the halves low first on any host; free on little-endian
     halves = raw.astype("<u8", copy=False).view("<u4")[:count]
     return np.multiply(halves, 2.0**-32).reshape(rows, size)

@@ -3,10 +3,9 @@
 theta_truncated integrates |J(alpha)|^(2k) over the max-norm box [-R, R]^N
 by stratified Monte Carlo over dyadic shells of the max norm, with a pilot
 pass steering the per-shell sample allocation.  parseval_check evaluates the
-two-coefficient marginal mass by one a-priori sized quadrature, growth_diagnostic
-fits the growth of the truncated integral against the radius, and
-shell_series_term gives the dyadic series terms whose sign of exponent
-separates growth from decay.
+two-coefficient marginal mass by one a-priori sized quadrature, and
+growth_diagnostic fits the growth of the truncated integral against the
+radius from theta_truncated at each radius with the caller's seed.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import quad
 from .poly import critical_threshold, monomial_count
-from .rng import philox_stream
+from .rng import philox_stream, uniform32
 
 _BLOCK = 1 << 13  # main draws per stream
 _CALL_BLOCKS = 8  # blocks per J call: at most 2^16 rows
@@ -59,14 +58,15 @@ def _check_radius(R: float, N: int) -> None:
         raise ValueError(f"R must be positive with a finite box volume (2R)^{N}, got {R}")
 
 
-def _sample_shell(rng: np.random.Generator, a: float, b: float, N: int, size: int):
-    """Uniform draws from the max-norm shell {a < ||x||_inf <= b}."""
-    u = rng.random(size)
-    r = (a**N + u * (b**N - a**N)) ** (1.0 / N)
-    pts = rng.uniform(-1.0, 1.0, (size, N)) * r[:, None]
-    axis = rng.integers(0, N, size)
-    sign = 2.0 * rng.integers(0, 2, size) - 1.0
-    pts[np.arange(size), axis] = sign * r
+def _sample_shell(bitgen, a: float, b: float, N: int, size: int):
+    """Uniform draws from the max-norm shell {a < ||x||_inf <= b}, from one
+    uniform32 block of a philox_stream bit generator: row 0 the radius, rows
+    1..N the coordinates, row N + 1 the face, floor(2N u) = 2 axis + (sign > 0)."""
+    u = uniform32(bitgen, N + 2, size)
+    r = (a**N + u[0] * (b**N - a**N)) ** (1.0 / N)
+    pts = (2.0 * u[1 : N + 1].T - 1.0) * r[:, None]
+    face = (u[N + 1] * (2 * N)).astype(np.intp)  # floor: u >= 0
+    pts[np.arange(size), face >> 1] = (2.0 * (face & 1) - 1.0) * r
     return pts
 
 
@@ -101,7 +101,7 @@ def theta_truncated(
     J is evaluated on all pilot rows in one call, then on the main draws
     _CALL_BLOCKS blocks of _BLOCK rows at a time; `workers` threads share the
     tasks of each call (see quad._batch_J), where the time goes.  The
-    result is bitwise independent of `workers`.
+    result is bitwise independent of `workers`; the streams are keyed by R.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -111,13 +111,14 @@ def theta_truncated(
     N = monomial_count(n, m)
     _check_radius(R, N)
     shells = _shell_bounds(R)
+    rtag = int(np.float64(R).view(np.uint64))  # R's bits (see rng)
     vols = np.array([(2 * b) ** N - (2 * a) ** N for a, b in shells])
 
     n_pilot_per = max(64, int(0.01 * n_samples) // len(shells))
     # every shell's pilot rows in one J call, outermost shell first (each draws
     # from its own stream): a phase beyond the node budget fails at once
     f = _abs_J_pow(n, m, k, np.concatenate([
-        _sample_shell(philox_stream(seed, 2, l), a, b, N, n_pilot_per)
+        _sample_shell(philox_stream(seed, 2, rtag, l), a, b, N, n_pilot_per)
         for l, (a, b) in reversed(list(enumerate(shells)))]), tol, workers)
     pilot_m2 = np.mean((f * f).reshape(len(shells), n_pilot_per), axis=1)[::-1]
 
@@ -141,7 +142,7 @@ def theta_truncated(
     tot2 = np.zeros(len(shells))
     for c in range(0, len(blocks), _CALL_BLOCKS):
         call = blocks[c : c + _CALL_BLOCKS]
-        rows = [_sample_shell(philox_stream(seed, 3, l, blk), *shells[l], N, size)
+        rows = [_sample_shell(philox_stream(seed, 3, rtag, l, blk), *shells[l], N, size)
                 for l, blk, size in call]
         f = _abs_J_pow(n, m, k, np.concatenate(rows), tol, workers)
         for (l, _, _), fb in zip(call, np.split(f, np.cumsum([len(r) for r in rows])[:-1])):
@@ -216,14 +217,6 @@ def parseval_check(gamma: float, R: float, tol: float = 1e-3) -> ParsevalMass:
     return ParsevalMass(float(wb @ (q[:B] + q[B:])), bound, (int(qx), int(Mx)), (int(qb), int(Mb)))
 
 
-def shell_series_term(n: int, m: int, k: int, l: int) -> float:
-    """Term 2^(l e) of the dyadic lower-bound series, e = -4k + critical threshold."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    e = critical_threshold(n, m) - 4 * k
-    return 2.0 ** (l * e)
-
-
 @dataclass
 class GrowthReport:
     n: int
@@ -254,7 +247,7 @@ def growth_diagnostic(
     shrinking truncation tail); otherwise divergent when the fitted slope
     clears twice its own standard error; else inconclusive.  theorem_sign
     records the sign of 4k minus the critical threshold (negative or zero
-    predicts growth).
+    predicts growth).  Estimate i is theta_truncated at radii[i] with `seed`.
     """
     radii = [float(r) for r in radii]
     for r in radii:
@@ -262,10 +255,8 @@ def growth_diagnostic(
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("need at least 3 strictly increasing radii")
     quad._check_tol(tol)
-    ests = [
-        theta_truncated(n, m, k, R, n_samples, seed + 1000 * i, tol=tol, workers=workers)
-        for i, R in enumerate(radii)
-    ]
+    ests = [theta_truncated(n, m, k, R, n_samples, seed, tol=tol, workers=workers)
+            for R in radii]
     vals = np.array([e.value for e in ests])
     ses = np.array([e.std_error for e in ests])
 

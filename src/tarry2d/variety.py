@@ -160,14 +160,14 @@ def ellipsoid_volume_mc(M: np.ndarray, n_samples: int, seed: int):
         raise ValueError("matrix must be positive definite")
     half = 1.0 / np.sqrt(lam)
     box_vol = float(np.prod(2.0 * half))
-    rng = philox_stream(seed, 0)
+    bitgen = philox_stream(seed, 0)
     N = lam.size
     hits = 0
     done = 0
     chunk = 1_000_000
     while done < n_samples:
         s = min(chunk, n_samples - done)
-        z = rng.uniform(-1.0, 1.0, (s, N)) * half
+        z = (2.0 * uniform32(bitgen, s, N) - 1.0) * half
         hits += int(np.count_nonzero((z * z) @ lam <= 1.0))
         done += s
     p = hits / n_samples

@@ -380,8 +380,8 @@ class TestOtherCommands:
 
 
 GOLDEN = [
-    # captured before thin-shell draws moved to 32-bit uniforms: theta and
-    # diagnose draw through Generator.random and must not move
+    # captured when theta's draws moved to rng.uniform32 on streams keyed by R:
+    # diagnose's estimate at each radius is theta's at that radius and seed
     ("theta_1_1_1_2_samples_1000_seed_3.json",
      ["theta", "1", "1", "1", "2", "--samples", "1000", "--seed", "3"]),
     ("diagnose_1_1_1_radii_2_4_8_samples_2000_seed_3.json",
@@ -413,7 +413,8 @@ class TestGoldenOutputs:
         assert run_cli(capsys, "exponent", "2", "2") == (0, golden)
 
     # translation a, b, G0_shifted and abs_diff recaptured when the
-    # translation came to draw from stream (seed, 5)
+    # translation came to draw from stream (seed, 5), and again when it moved
+    # to rng.uniform32
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_gram(self, capsys, monkeypatch, workers):
         golden = (DATA / "gram_points_2_1_n_2_m_1_seed_3.json").read_text()
@@ -456,6 +457,13 @@ class TestInputContract:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("input error:")
+
+    def test_diagnose_at_the_largest_seed(self, capsys):
+        # every radius draws with the given seed, so the top of the domain is valid
+        code, out = run_cli(capsys, "diagnose", "1", "1", "1", "--radii", "2", "4", "8",
+                            "--samples", "500", "--seed", str(2**64 - 1))
+        assert code == 0
+        assert json.loads(out)["run"]["seed"] == 2**64 - 1
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     @pytest.mark.parametrize("command", [

@@ -83,7 +83,7 @@ class TestBoxes:
 
     def test_sample_box_support(self):
         region = box_bounds(2, 1, 2, 4, 2, 3)
-        rng = np.random.default_rng(1)
+        rng = philox_stream(1)
         betas = sample_box(region, rng, 500)
         assert betas.shape == (500, 5)
         assert np.all(betas >= region.lower)
@@ -92,7 +92,7 @@ class TestBoxes:
     def test_box_to_alpha_keeps_top_coefficient(self):
         # the recoefficient map is unitriangular, so the top entry is fixed
         region = box_bounds(2, 1, 2, 4, 2, 3)
-        rng = np.random.default_rng(2)
+        rng = philox_stream(2)
         betas = sample_box(region, rng, 50)
         alphas = box_to_alpha(region, betas)
         top = monomial_indices(2, 1).index((2, 1))
@@ -102,7 +102,7 @@ class TestBoxes:
 class TestGradientMargin:
     def test_box_phases_have_small_gradient(self):
         region = box_bounds(2, 1, 2, 2, 1, 2)
-        rng = np.random.default_rng(3)
+        rng = philox_stream(3)
         betas = sample_box(region, rng, 50)
         alphas = box_to_alpha(region, betas)
         for al in alphas:
@@ -224,7 +224,7 @@ class TestBatchedSweep:
         nu, mu = data.draw(st.integers(1, P)), data.draw(st.integers(1, P))
         region = box_bounds(n, m, k, P, nu, mu)
         rng = np.random.default_rng(seed)
-        betas = sample_box(region, rng, size)
+        betas = sample_box(region, philox_stream(seed), size)
         alphas = box_to_alpha(region, betas)
         u1, u2 = region.center
         U = recoeff_matrix(n, m, u1, u2)
@@ -278,7 +278,7 @@ class TestBatchedSweep:
 
     def test_no_draws_rejected(self):
         with pytest.raises(ValueError):
-            sample_box(box_bounds(1, 1, 1, 1, 1, 1), np.random.default_rng(0), 0)
+            sample_box(box_bounds(1, 1, 1, 1, 1, 1), philox_stream(0), 0)
 
 
 class TestSeriesSum:

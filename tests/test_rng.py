@@ -1,13 +1,19 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tarry2d
 from tarry2d.rng import philox_stream, uniform32
+from tarry2d.theta import _shell_bounds
+
+# every theta radius of the tests, the README and the benchmark's jobs
+RADII = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 9.0, 10.0, 20.0, 40.0, 1e12]
 
 
 def _key(seed, *tags):
-    key = philox_stream(seed, *tags).bit_generator.state["state"]["key"]
+    key = philox_stream(seed, *tags).state["state"]["key"]
     return int(key[0]), int(key[1])
 
 
@@ -28,21 +34,31 @@ class TestPhiloxStream:
 
     def test_package_tags_get_distinct_keys(self):
         # every tag tuple the package draws from, over ranges it reaches:
-        # 2^28 thin-shell draws, 64 theta shells (R up to 2^62), 2^22 main
-        # draws per shell, and every box scale up to lowerbound._MAX_SCALE
+        # 2^28 thin-shell draws, every shell of every radius in RADII with
+        # 2^22 main draws per shell, and every box scale up to
+        # lowerbound._MAX_SCALE
         tags = [(0,), (5,)]
         tags += [(1, b) for b in range(1 << 12)]
-        tags += [(2, l) for l in range(64)]
-        tags += [(3, l, blk) for l in range(64) for blk in range(512)]
+        for R in RADII:
+            bits = int(np.float64(R).view(np.uint64))
+            shells = range(len(_shell_bounds(R)))
+            tags += [(2, bits, l) for l in shells]
+            tags += [(3, bits, l, blk) for l in shells for blk in range(512)]
         tags += [(4, P) for P in range(1, 257)]
         assert len({_key(0, *t)[0] for t in tags}) == len(tags)
+
+    def test_np_random_only_in_rng(self):
+        # bar lowerbound.sample_box, the one draw left on Generator.uniform
+        src = Path(tarry2d.__file__).parent
+        users = sorted(p.name for p in src.glob("*.py") if "np.random" in p.read_text())
+        assert users == ["lowerbound.py", "rng.py"]
 
 
 class TestUniform32:
     @pytest.mark.parametrize("rows, size", [(6, 5), (3, 5), (1, 1)])
     def test_interleaves_word_halves_low_first(self, rows, size):
         count = rows * size
-        raw = philox_stream(7, 1, 0).bit_generator.random_raw((count + 1) // 2)
+        raw = philox_stream(7, 1, 0).random_raw((count + 1) // 2)
         want = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()[:count]
         got = uniform32(philox_stream(7, 1, 0), rows, size)
         assert got.dtype == np.float64 and got.flags.c_contiguous

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tarry2d import quad
+from tarry2d.lowerbound import shell_series_term
+from tarry2d.rng import philox_stream
 from tarry2d.theta import (
     _sample_shell,
     _shell_bounds,
     _wls_slope,
     growth_diagnostic,
     parseval_check,
-    shell_series_term,
     theta_truncated,
 )
 
@@ -54,7 +55,7 @@ class TestShells:
             _shell_bounds(0.0)
 
     def test_sample_shell_support(self):
-        rng = np.random.default_rng(7)
+        rng = philox_stream(7)
         pts = _sample_shell(rng, 1.0, 2.0, 3, 20000)
         r = np.max(np.abs(pts), axis=1)
         assert np.all(r > 1.0 - 1e-12)
@@ -62,7 +63,7 @@ class TestShells:
 
     def test_sample_shell_radial_law(self):
         # P(r <= c) inside the shell is (c^N - a^N) / (b^N - a^N)
-        rng = np.random.default_rng(8)
+        rng = philox_stream(8)
         a, b, N = 1.0, 2.0, 3
         pts = _sample_shell(rng, a, b, N, 200000)
         r = np.max(np.abs(pts), axis=1)
@@ -70,6 +71,18 @@ class TestShells:
         frac = np.mean(r <= c)
         want = (c**N - a**N) / (b**N - a**N)
         assert frac == pytest.approx(want, abs=0.01)
+
+    @pytest.mark.parametrize("N", [3, 5])
+    def test_sample_shell_faces_equally_likely(self, N):
+        # the face of a draw is its axis of largest |x| and that coordinate's sign
+        pts = _sample_shell(philox_stream(9), 2.0, 4.0, N, 60000)
+        axis = np.argmax(np.abs(pts), axis=1)
+        face = 2 * axis + (pts[np.arange(len(pts)), axis] > 0)
+        counts = np.bincount(face, minlength=2 * N)
+        expected = len(pts) / (2 * N)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        # chi-square upper 1e-4 points: 25.74 with 5 degrees of freedom, 33.72 with 9
+        assert chi2 < {3: 25.74, 5: 33.72}[N]
 
 
 class TestThetaTruncated:
@@ -305,6 +318,12 @@ class TestGrowthDiagnostic:
         assert d["radii"] == [2.0, 4.0, 8.0]
         assert len(d["estimates"]) == 3
         assert d["classification"] in ("convergent", "divergent", "inconclusive")
+
+    def test_estimates_are_theta_at_each_radius(self):
+        radii = [2.0, 4.0, 8.0]
+        rep = growth_diagnostic(1, 1, 1, radii, 500, seed=2**64 - 1)
+        for est, R in zip(rep.estimates, radii):
+            assert asdict(est) == asdict(theta_truncated(1, 1, 1, R, 500, seed=2**64 - 1))
 
     def test_bad_radii(self):
         with pytest.raises(ValueError):
