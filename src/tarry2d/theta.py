@@ -168,6 +168,13 @@ class ParsevalMass:
     b_rule: tuple[int, int]  # (q, M) on [-R, R]
 
 
+def _sinc_cis(t: np.ndarray):
+    """sinc(t) = sin(pi t) / (pi t) (1 at t = 0), cos(pi t) and sin(pi t), by quad._cos_sin at t / 2."""
+    r = 0.5 * t - np.rint(0.5 * t)
+    cos, sin = quad._cos_sin(r, np.empty_like(r), r)
+    return np.divide(sin, np.pi * t, out=np.ones_like(t), where=t != 0.0), cos, sin
+
+
 def parseval_check(gamma: float, R: float, tol: float = 1e-3) -> ParsevalMass:
     """Truncated two-coefficient mass of |J|^2 at fixed top coefficient gamma.
 
@@ -204,13 +211,11 @@ def parseval_check(gamma: float, R: float, tol: float = 1e-3) -> ParsevalMass:
     x, wx = quad._panel_nodes(Mx, *quad._gauss(qx))
     s, ws = quad._panel_nodes(Mb, *quad._gauss(qb))
     beta, wb = R * (2.0 * s - 1.0), 2.0 * R * ws
-    Kw = (wx[:, None] * wx[None, :]) * (2.0 * R * np.sinc(2.0 * R * (x[:, None] - x[None, :])))
-    # c = exp(i pi t) sinc(t) with t = beta + gamma x.  Kw is real and symmetric,
-    # so Re(c Kw c^H) = cr Kw cr^T + ci Kw ci^T: one real GEMM of [cr; ci] against Kw
-    t = beta[:, None] + gamma * x[None, :]
-    sinc = np.sinc(t)
-    t *= np.pi
-    C = np.concatenate([np.cos(t) * sinc, np.sin(t) * sinc])
+    # c = exp(i pi t) sinc(t), t = beta + gamma x.  Kw is real and symmetric, so
+    # Re(c Kw c^H) = cr Kw cr^T + ci Kw ci^T: one real GEMM of [cr; ci] against Kw
+    Kw = (wx[:, None] * wx[None, :]) * (2.0 * R * _sinc_cis(2.0 * R * (x[:, None] - x[None, :]))[0])
+    sinc, cos, sin = _sinc_cis(beta[:, None] + gamma * x[None, :])
+    C = np.concatenate([cos * sinc, sin * sinc])
     q = np.einsum("bi,bi->b", C @ Kw, C)
     bound = (8.0 * R * R * math.exp(quad._log_bound(qx, Mx, Vx, 1))
              + 4.0 * R * R * math.exp(quad._log_bound(qb, Mb, Vb, 1)))

@@ -422,6 +422,8 @@ class TestGoldenOutputs:
         assert run_cli(capsys, "gram", "points_2_1.json", "--n", "2", "--m", "1",
                        "--seed", "3", "--workers", workers) == (0, golden)
 
+    # value_re and value_im recaptured, by at most 4.6e-20, when every cos and sin
+    # came to quad._cos_sin
     @pytest.mark.parametrize("degree", ["1_1", "1_2", "3_1"])
     def test_integral_linear_in_one_variable(self, capsys, monkeypatch, degree):
         golden = (DATA / f"integral_phase_{degree}_tol_1e-9.json").read_text()

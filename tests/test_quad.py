@@ -1,5 +1,7 @@
 import math
+import re
 import weakref
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,7 +13,7 @@ from tarry2d import quad
 from tarry2d.poly import PolySpec, monomial_count, monomial_indices
 from tarry2d.quad import PanelBudgetError, batch_osc_m1, osc_integral
 from tarry2d.rng import philox_stream
-from tarry2d.theta import _sample_shell
+from tarry2d.theta import _sample_shell, _shell_bounds
 
 
 def midpoint_oracle(F, cells):
@@ -73,6 +75,29 @@ def tensor_reference(C, rule_x, rule_y):
         vals -= np.rint(vals)
         total += wx[lo : lo + step] @ np.exp(2j * np.pi * vals) @ wy
     return complex(total)
+
+
+def libm_kernel(rows, xa, xb, wts):
+    # the m = 1 kernel's formula with np.cos and np.sin: e^{2 pi i (A + B/2)} sin(pi B) / (pi B),
+    # A + B/2 and B/2 reduced by rint
+    half_b = rows @ xb
+    phase = rows @ xa + half_b
+    phase = 2.0 * np.pi * (phase - np.rint(phase))
+    pi_b = 2.0 * np.pi * half_b
+    sin_pi_b = np.sin(2.0 * np.pi * (half_b - np.rint(half_b)))
+    sinc = np.divide(sin_pi_b, pi_b, out=np.ones_like(pi_b), where=pi_b != 0.0)
+    return (np.cos(phase) * sinc) @ wts + 1j * ((np.sin(phase) * sinc) @ wts)
+
+
+def libm_tensor_kernel(n, m, rows, qx, Mx, qy, My):
+    # the tensor kernel's formula with np.cos and np.sin, x in one chunk
+    (x, wx), (y, wy) = quad._panel_nodes(Mx, *quad._gauss(qx)), quad._panel_nodes(My, *quad._gauss(qy))
+    i, j = np.array(monomial_indices(n, m)).T
+    C = np.zeros((len(rows), n + 1, m + 1))
+    C[:, i, j] = rows
+    phase = x[:, None] ** np.arange(n + 1) @ (C @ y ** np.arange(m + 1)[:, None])
+    phase = 2.0 * np.pi * (phase - np.rint(phase))
+    return np.cos(phase) @ wy @ wx + 1j * (np.sin(phase) @ wy @ wx)
 
 
 def tensor_rows(rng, n, m, V_max, count):
@@ -375,6 +400,60 @@ def mp_J_m1(n, row):
 
     cuts = mpmath.linspace(0, 1, 33)
     return complex(mpmath.quad(g, cuts))
+
+
+class TestCosSin:
+    # phases in cycles at the ends and middle of [-1/2, 1/2], the least normal-ish and the
+    # float next below 1/2
+    SPECIAL = [0.5, -0.5, 0.25, -0.25, 0.0, -0.0, 1e-300, 0.5 - 2.0**-53]
+
+    def test_against_mpmath(self):
+        p = np.concatenate([self.SPECIAL, np.random.default_rng(70).uniform(-0.5, 0.5, 2000)])
+        buf = p.copy()
+        c, s = quad._cos_sin(buf, np.empty_like(p), buf)
+        with mpmath.workdps(30):
+            for x, cx, sx in zip(p, c, s):
+                angle = 2 * mpmath.pi * mpmath.mpf(float(x))
+                assert abs(cx - mpmath.cos(angle)) <= 4.5e-16
+                assert abs(sx - mpmath.sin(angle)) <= 4.5e-16
+
+    def test_cos_even_sin_odd_bitwise(self):
+        p = np.concatenate([self.SPECIAL, np.random.default_rng(71).uniform(-0.5, 0.5, 1 << 16)])
+        c, s = quad._cos_sin(p, np.empty_like(p), np.empty_like(p))
+        c_neg, s_neg = quad._cos_sin(-p, np.empty_like(p), np.empty_like(p))
+        assert c_neg.tobytes() == c.tobytes()
+        assert s_neg.tobytes() == (-s).tobytes()
+
+    def test_no_other_trig_in_src(self):
+        # every sine and cosine in the package comes from quad._cos_sin
+        src = Path(quad.__file__).parent
+        users = sorted(p.name for p in src.glob("*.py") if re.search(r"np\.(sin|cos)", p.read_text()))
+        assert users == []
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (3, 1), (2, 2)])
+    def test_batch_conjugation_bitwise(self, n, m):
+        # J(-F) = conj J(F) bit for bit, over several rules and tasks
+        rows = tensor_rows(np.random.default_rng(72 + n), n, m, 200.0 if m == 1 else 40.0, 60)[1:]
+        got, ((_, q, M), *_) = quad._batch_J(n, m, rows, 1e-8)
+        assert len(set(zip(q.tolist(), M.tolist()))) >= 3
+        assert quad._batch_J(n, m, -rows, 1e-8)[0].tobytes() == np.conj(got).tobytes()
+
+    @pytest.mark.parametrize("n,m,R,draws", [(1, 1, 64.0, 300), (3, 1, 64.0, 100), (2, 2, 16.0, 8)])
+    def test_kernels_match_libm_formula(self, monkeypatch, n, m, R, draws):
+        # rows from every dyadic shell to R, and for m = 1 the same rows with no y terms (no
+        # sinc damps their phase error), each J within 1e-15 of the same rule's value with
+        # cos and sin from np.cos and np.sin
+        N = monomial_count(n, m)
+        rows = np.vstack([_sample_shell(philox_stream(74, l), a, b, N, draws)
+                          for l, (a, b) in enumerate(_shell_bounds(R))])
+        if m == 1:
+            rows = np.vstack([rows, with_y_coeffs(n, rows, 0.0)])
+        got = quad._batch_J(n, m, rows, 1e-6)[0]
+        if m == 1:
+            monkeypatch.setattr(quad, "_kernel", libm_kernel)
+        else:
+            monkeypatch.setattr(quad, "_tensor_kernel", libm_tensor_kernel)
+        assert np.max(np.abs(got - quad._batch_J(n, m, rows, 1e-6)[0])) <= 1e-15
 
 
 class TestBatchRule:
