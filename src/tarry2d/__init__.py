@@ -40,6 +40,7 @@ from .lowerbound import (
     disjointness_check,
     divergence_partial_sum,
     e_set_margin,
+    gradient_margin,
     shell_series_term,
 )
 

@@ -25,7 +25,7 @@ from . import lowerbound, poly, quad, theta, variety
 from .rng import philox_stream, uniform32
 
 DEFAULT_SEED = 20240001
-_NO_WORKERS = "accepted for uniformity with the other seeded commands; has no effect"
+_NO_EFFECT = "accepted for uniformity with the other seeded commands; has no effect"
 
 
 def _fmt_float(x: float) -> str:
@@ -177,7 +177,7 @@ def cmd_thinshell(args):
 
 
 def cmd_boxes(args):
-    sweep = lowerbound.box_sweep(args.n, args.m, args.k, args.scales, args.beta_samples, args.seed)
+    sweep = lowerbound.box_sweep(args.n, args.m, args.k, args.scales)
     report = lowerbound.disjointness_check(args.n, args.m, args.k, args.scales)
     return {"disjointness": report.to_dict(), "sweep": sweep}, sweep
 
@@ -192,16 +192,16 @@ def cmd_diagnose(args):
 
 def _add_common(p, seeded=True, table=False):
     """Flags every subcommand takes, and --format where a CSV table exists;
-    returns the --workers action of seeded ones."""
+    returns the --seed and --workers actions of seeded ones."""
     p.add_argument("--output", help="write results to this file instead of stdout")
     if table:
         p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--config-file", dest="config_file",
                    help="key=value file supplying flag defaults")
     if seeded:
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        return p.add_argument("--workers", type=int, default=1,
-                              help="threads to run on; the output is the same for any count")
+        return (p.add_argument("--seed", type=int, default=DEFAULT_SEED),
+                p.add_argument("--workers", type=int, default=1,
+                               help="threads to run on; the output is the same for any count"))
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="JSON point-configuration file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p).help = _NO_WORKERS
+    _add_common(p)[1].help = _NO_EFFECT
     p.set_defaults(fn=cmd_gram)
 
     p = sub.add_parser("thinshell", help="thin-shell surface-measure estimate")
@@ -274,12 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_thinshell)
 
-    p = sub.add_parser("boxes", help="box disjointness and gradient-margin sweep")
+    p = sub.add_parser("boxes", help="box volumes, disjointness and gradient margin")
     for name in ("n", "m", "k"):
         p.add_argument(name, type=int)
     p.add_argument("--scales", type=int, nargs="+", default=[2, 4, 8])
-    p.add_argument("--beta-samples", type=int, default=20)
-    _add_common(p, table=True).help = _NO_WORKERS
+    for action in _add_common(p, table=True):
+        action.help = _NO_EFFECT
     p.set_defaults(fn=cmd_boxes)
 
     p = sub.add_parser("diagnose", help="growth of the truncated integral in R")
@@ -333,6 +333,7 @@ def main(argv=None) -> int:
         args = _parse(parser, _as_values(argv))
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        philox_stream(getattr(args, "seed", 0))  # checks the seed, also for boxes, which draws nothing
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -7,8 +7,9 @@ drawn from a box has gradient norm at most 1/sqrt(2k) on the grid square
 below its center, boxes at distinct centers or distinct dyadic scales are
 pairwise disjoint in original coefficients, and the box volumes produce the
 dyadic series whose exponent sign decides divergence.  disjointness_check
-tests the disjointness over all pairs of boxes; box_sweep tests the gradient
-bound on draws from every box of every scale, one stream per scale, in one pass.
+tests the disjointness over all pairs of boxes; gradient_margin is the exact
+margin of the gradient bound, one number for every box, and box_sweep reports
+it with each box's volume.
 """
 
 from __future__ import annotations
@@ -25,25 +26,46 @@ from .poly import (
     monomial_count,
     monomial_indices,
 )
-from .rng import philox_stream
+from .rng import uniform32
 
-_MARGIN_ROWS = 256  # phases per grid evaluation in e_set_margins
 _MARGIN_GRID = 32  # sample points per side of the square in e_set_margins
 _PAIR_ROWS = 256  # first boxes per block of pairs in disjointness_check
 _MAX_SCALE = 256  # largest scale: 2.1e9 box pairs to check at 256 alone, 3.4e10 at 512
 
 
 def c_constant(n: int, m: int, k: int) -> float:
-    """Gradient budget constant 1 / (n m sqrt(2k (n^2 + m^2)))."""
+    """Gradient budget constant 1 / (max(n m, 2) sqrt(2k (n^2 + m^2))); n m alone
+    would put the (1,1) boxes' gradient_margin at +0.105/k, above 0."""
     if n < 1 or m < 1 or k < 1:
         raise ValueError("n, m, k must be >= 1")
-    return 1.0 / (n * m * math.sqrt(2.0 * k * (n * n + m * m)))
+    return 1.0 / (max(n * m, 2) * math.sqrt(2.0 * k * (n * n + m * m)))
+
+
+def gradient_margin(n: int, m: int, k: int) -> float:
+    """Largest |grad F|^2 - 1/(2k) over the phases F of a box and the points of
+    the square below its center, the same for every box:
+    c^2 [(sum_{i>=1} i w_ij)^2 + (sum_{j>=1} j w_ij)^2] - 1/(2k), with w = 1 on
+    the top index and 0.1 elsewhere.
+
+    At a point (u1 + s, u2 + t) of the square, s and t in [-1/P, 0] (the square
+    lies in the unit square, as nu, mu >= 1), grad F is linear in beta, so
+    |grad F|^2 is convex in beta and its maximum over the box is at a vertex,
+    |beta_ij| = w_ij c P^(i+j-1).  There each term i beta_ij s^(i-1) t^j of dF/dx
+    is at most i w_ij c in size, and each term j beta_ij s^i t^(j-1) of dF/dy at
+    most j w_ij c: P scales out.  At the corner s = t = -1/P both terms of (i, j)
+    carry the sign of beta_ij (-1)^(i+j-1), so the vertex with signs
+    (-1)^(i+j-n-m), the top one positive, lines up every term of both partials
+    and attains both sums at once.
+    """
+    c = c_constant(n, m, k)
+    w = {ij: 1.0 if ij == (n, m) else 0.1 for ij in monomial_indices(n, m)}
+    gx, gy = (sum(ij[axis] * v for ij, v in w.items()) for axis in (0, 1))
+    return c * c * (gx * gx + gy * gy) - 1.0 / (2.0 * k)
 
 
 @dataclass(frozen=True)
 class BoxRegion:
-    """Per-index coefficient intervals in beta coordinates at center (nu/P, mu/P).
-    Arrays P, nu, mu, with one row of lower and upper each, hold a batch of boxes."""
+    """Per-index coefficient intervals in beta coordinates at center (nu/P, mu/P)."""
 
     n: int
     m: int
@@ -102,29 +124,28 @@ def shell_series_term(n: int, m: int, k: int, l: int) -> float:
 
 def sample_box(region: BoxRegion, bitgen, size: int) -> np.ndarray:
     """Uniform beta draws from the box on a philox_stream bit generator, shape
-    (size, N), ascending index order; by Generator.uniform, not rng.uniform32,
-    until the (1,1) boxes meet their gradient bound (ROADMAP item 6)."""
+    (size, N), ascending index order: lower + (upper - lower) u, u from
+    rng.uniform32."""
     if size < 1:
         raise ValueError(f"need at least one draw per box, got {size}")
-    return np.random.Generator(bitgen).uniform(region.lower, region.upper, (size, len(region.lower)))
+    return region.lower + (region.upper - region.lower) * uniform32(bitgen, size, len(region.lower))
 
 
 def box_to_alpha(region: BoxRegion, beta: np.ndarray) -> np.ndarray:
-    """Map beta draws from the box to original coefficients at the box center, one
-    row per draw; a region of arrays P, nu, mu maps draws (boxes, draws, N)."""
-    u1, u2 = (np.expand_dims(u, -1) for u in region.center)
-    return beta_to_alpha(region.n, region.m, u1, u2, beta).reshape(-1, len(region.indices))
+    """Map beta draws from the box, one row each, to original coefficients at
+    the box center."""
+    return beta_to_alpha(region.n, region.m, *region.center, beta)
 
 
 def _horner_grid(C: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """sum C[i, j, r] x^i y^j at each (xs[r, a], ys[r, b]), by polyval2d's
-    steps: Horner in x, then in y.  The b axis has length 1 if j is 0 only."""
+    """sum C[i, j, r] x^i y^j at each (xs[a], ys[b]), by polyval2d's steps:
+    Horner in x, then in y.  The b axis has length 1 if j is 0 only."""
     acc = C[-1][..., None] + 0.0 * xs
     for c in C[-2::-1]:
         acc = acc * xs + c[..., None]
     out = acc[-1][..., None]
     for c in acc[-2::-1]:
-        out = out * ys[:, None, :]
+        out = out * ys
         out += c[..., None]
     return out
 
@@ -133,32 +154,24 @@ def e_set_margins(n: int, m: int, alphas: np.ndarray, k: int, square) -> np.ndar
     """Max of |grad F|^2 - 1/(2k) on a sample grid over the square below (u1, u2),
     for each phase F of degrees (n, m) given by a row of alphas (graded order).
 
-    The square (u1, u2, P), or one per row if they are arrays, is [u1 - 1/P,
-    u1] x [u2 - 1/P, u2] cut to the unit square; a nonpositive margin
-    certifies (to grid resolution) that it lies in the small-gradient set.
-    Each grid value takes PolySpec.grad's Horner steps at its point, so a
-    row's margin does not depend on the rest of the batch.
+    The square (u1, u2, P) is [u1 - 1/P, u1] x [u2 - 1/P, u2] cut to the unit
+    square; a nonpositive margin certifies (to grid resolution) that it lies
+    in the small-gradient set.  Each grid value takes PolySpec.grad's Horner
+    steps at its point, so a row's margin does not depend on the rest of the
+    batch.  All rows are evaluated at once, 8 KB of grid values a row.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
-    u = np.array(square[:2], dtype=float)
-    lo, hi = np.maximum(u - 1.0 / np.asarray(square[2]), 0.0), np.minimum(u, 1.0)
-    if np.any(lo >= hi):
+    u1, u2, P = square
+    sides = [(max(u - 1.0 / P, 0.0), min(u, 1.0)) for u in (u1, u2)]
+    if any(lo >= hi for lo, hi in sides):
         raise ValueError("square does not intersect the unit square")
-    lo, hi = (np.broadcast_to(np.reshape(v, (2, -1)), (2, len(alphas))) for v in (lo, hi))
+    xs, ys = (np.linspace(lo, hi, _MARGIN_GRID) for lo, hi in sides)
     C = np.zeros((n + 1, m + 1, alphas.shape[0]))
     C[tuple(np.array(monomial_indices(n, m)).T)] = alphas.T
-    Cx = C[1:] * np.arange(1, n + 1)[:, None, None]
-    Cy = C[:, 1:] * np.arange(1, m + 1)[None, :, None]
-    out = np.empty(alphas.shape[0])
-    # rows in blocks, so the (rows, grid, grid) values stay near 2 MB
-    for r in range(0, out.size, _MARGIN_ROWS):
-        sl = slice(r, r + _MARGIN_ROWS)
-        xs, ys = np.linspace(lo[:, sl], hi[:, sl], _MARGIN_GRID, axis=-1)
-        fx = _horner_grid(Cx[..., sl], xs, ys)
-        fx *= fx  # in place, so the squares and their sum add no (rows, grid, grid) temporaries
-        fx += _horner_grid(Cy[..., sl], xs, ys) ** 2
-        out[sl] = np.max(fx, axis=(1, 2))
-    return out - 1.0 / (2.0 * k)
+    fx = _horner_grid(C[1:] * np.arange(1, n + 1)[:, None, None], xs, ys)
+    fx *= fx  # in place, so the squares and their sum add no (rows, grid, grid) temporaries
+    fx += _horner_grid(C[:, 1:] * np.arange(1, m + 1)[None, :, None], xs, ys) ** 2
+    return np.max(fx, axis=(1, 2)) - 1.0 / (2.0 * k)
 
 
 def e_set_margin(F: PolySpec, k: int, square: tuple[float, float, int]) -> float:
@@ -166,27 +179,14 @@ def e_set_margin(F: PolySpec, k: int, square: tuple[float, float, int]) -> float
     return float(e_set_margins(F.n, F.m, F.coeff_vector(), k, square)[0])
 
 
-def box_sweep(n: int, m: int, k: int, scales, samples: int, seed: int) -> list[dict]:
-    """Volume and largest e_set_margins value of every box at the given dyadic
-    scales, in disjointness_check's order, over `samples` draws per box, all
-    recentred and evaluated in one batch.  Scale P draws all its boxes' rows
-    in one sample_box call on stream (seed, 4, P), `samples` rows per box in
-    that order, so a box's draws do not depend on the other scales.
-    """
+def box_sweep(n: int, m: int, k: int, scales) -> list[dict]:
+    """Volume and gradient_margin of every box at the given dyadic scales, in
+    disjointness_check's order; a box's bounds depend on P alone."""
     scales, centers = _centers(scales)
-    if samples < 1:
-        raise ValueError(f"need at least one draw per box, got {samples}")
-    bounds = {P: box_bounds(n, m, k, P, 1, 1) for P in scales}  # the same at every center
-    betas = np.concatenate([sample_box(bounds[P], philox_stream(seed, 4, P), P * P * samples)
-                            for P in scales]).reshape(len(centers), samples, -1)
-    P, nu, mu = np.array(centers).T
-    batch = BoxRegion(n, m, k, P, nu, mu, *(np.array([getattr(bounds[p], side) for p in P.tolist()])
-                                            for side in ("lower", "upper")))
-    u1, u2, P = (np.repeat(v, samples) for v in (*batch.center, P))
-    margins = e_set_margins(n, m, box_to_alpha(batch, betas), k, (u1, u2, P)).reshape(-1, samples)
-    volume = {P: box_volume(b) for P, b in bounds.items()}
-    return [{"P": P, "nu": nu, "mu": mu, "volume": volume[P], "margin_max": top}
-            for (P, nu, mu), top in zip(centers, margins.max(axis=1).tolist())]
+    volume = {P: box_volume(box_bounds(n, m, k, P, 1, 1)) for P in scales}
+    margin = gradient_margin(n, m, k)
+    return [{"P": P, "nu": nu, "mu": mu, "volume": volume[P], "margin_max": margin}
+            for P, nu, mu in centers]
 
 
 def boxes_disjoint(r1: BoxRegion, r2: BoxRegion) -> bool:
@@ -210,13 +210,10 @@ def boxes_disjoint(r1: BoxRegion, r2: BoxRegion) -> bool:
     if (r1.nu, r1.mu) == (r2.nu, r2.mu):
         return False
     t_min = 0.5 * c * P ** (n + m - 1)
-    if r1.nu != r2.nu:
-        gap = abs(r1.nu - r2.nu) / P * n * t_min
-        widths = 0.2 * c * P ** (n + m - 2)
-        return gap > widths
-    gap = abs(r1.mu - r2.mu) / P * m * t_min
     widths = 0.2 * c * P ** (n + m - 2)
-    return gap > widths
+    if r1.nu != r2.nu:
+        return abs(r1.nu - r2.nu) / P * n * t_min > widths
+    return abs(r1.mu - r2.mu) / P * m * t_min > widths
 
 
 @dataclass

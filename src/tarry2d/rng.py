@@ -5,12 +5,12 @@ bit generator: Philox keyed by the seed and tags led by a purpose tag, a
 stream independent of the others (Salmon et al., SC 2011) and of the worker
 count.  R is the IEEE-754 bit pattern of theta's float64 radius:
 
-    0 ellipsoid (0,)         2 theta pilot (2, R, shell)         4 boxes (4, P)
+    0 ellipsoid (0,)         2 theta pilot (2, R, shell)         4 retired (boxes draws)
     1 thin shell (1, block)  3 theta main (3, R, shell, block)   5 gram (5,)
 
-uniform32 maps raw words to floats, two 2^-32 uniforms per word; a draw on
-[lo, hi) is lo + (hi - lo) u.  numpy fixes raw streams across versions, so
-outputs rest on the raw stream alone, bar boxes (see lowerbound.sample_box).
+A retired tag is not reused.  uniform32 maps raw words to floats, two 2^-32
+uniforms per word; a draw on [lo, hi) is lo + (hi - lo) u.  numpy fixes raw
+streams across versions, so outputs rest on the raw stream alone.
 """
 
 from __future__ import annotations

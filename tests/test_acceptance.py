@@ -265,8 +265,7 @@ def test_11_determinism(tmp_path):
         "theta": ["theta", "1", "1", "1", "4.0", "--samples", "20000"],
         "thinshell": ["thinshell", "1", "1", "2", "--h", "0.05",
                       "--samples", "400000"],
-        "boxes": ["boxes", "1", "1", "1", "--scales", "1", "2",
-                  "--beta-samples", "5"],
+        "boxes": ["boxes", "1", "1", "1", "--scales", "1", "2"],
         "diagnose": ["diagnose", "1", "1", "1", "--radii", "2", "4", "8",
                      "--samples", "10000"],
     }

@@ -135,7 +135,7 @@ class TestFormatsAndOutput:
     @pytest.mark.parametrize("argv", [
         ["theta", "1", "1", "1", "2", "--samples", "1000"],
         ["diagnose", "1", "1", "1", "--radii", "2", "4", "8", "--samples", "2000"],
-        ["boxes", "1", "1", "1", "--scales", "1", "2", "--beta-samples", "5"],
+        ["boxes", "1", "1", "1", "--scales", "1", "2"],
     ])
     def test_csv_header_is_the_json_row_keys(self, capsys, argv):
         obj = json.loads(run_cli(capsys, *argv)[1])
@@ -237,12 +237,6 @@ class TestRunBlock:
         code, out = run_cli(capsys, "gram", str(path), "--n", "1", "--m", "1")
         assert code == 0
         assert json.loads(out)["run"]["config"] == str(path)
-
-    def test_boxes_records_beta_samples(self, capsys):
-        code, out = run_cli(capsys, "boxes", "1", "1", "1", "--scales", "1", "2",
-                            "--beta-samples", "5")
-        assert code == 0
-        assert json.loads(out)["run"]["beta_samples"] == 5
 
     @pytest.mark.parametrize("argv", [
         ["theta", "1", "1", "1", "2", "--samples", "1000"],
@@ -353,13 +347,20 @@ class TestOtherCommands:
         assert json.loads(out)["n_samples"] == 1000
 
     def test_boxes(self, capsys):
-        code, out = run_cli(capsys, "boxes", "1", "1", "1",
-                            "--scales", "1", "2", "--beta-samples", "5")
+        code, out = run_cli(capsys, "boxes", "1", "1", "1", "--scales", "1", "2")
         assert code == 0
         obj = json.loads(out)
         assert obj["disjointness"]["violations"] == []
         assert len(obj["sweep"]) == 1 + 4
         assert all(s["margin_max"] <= 0.0 for s in obj["sweep"])
+
+    def test_boxes_does_not_depend_on_the_seed(self, capsys):
+        # boxes draws nothing: past the run block, which records the seed, the bytes agree
+        outs = [run_cli(capsys, "boxes", "2", "1", "2", "--scales", "1", "2", "--seed", seed)
+                for seed in ("1", "2")]
+        assert [code for code, _ in outs] == [0, 0]
+        tails = [out[out.index('  "disjointness"'):] for _, out in outs]
+        assert tails[0] == tails[1] and outs[0][1] != outs[1][1]
 
     def test_diagnose(self, capsys):
         code, out = run_cli(capsys, "diagnose", "1", "1", "1",
@@ -371,7 +372,8 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("workers", ["1", "2", "4"])
     def test_boxes_golden_output(self, capsys, workers):
-        # captured when each scale came to draw from one stream (seed, 4, P)
+        # recaptured when the sweep came to report gradient_margin: only each
+        # margin_max moved, and run.beta_samples went
         golden = (Path(__file__).parent / "data" / "boxes_2_1_2_scales_2_4_8.json").read_text()
         code, out = run_cli(capsys, "boxes", "2", "1", "2", "--scales", "2", "4", "8",
                             "--workers", workers)
@@ -435,7 +437,7 @@ class TestInputContract:
     @pytest.mark.parametrize("argv", [
         ["boxes", "1", "1", "1", "--scales", "0"],
         ["boxes", "1", "1", "1", "--scales", "-2"],
-        ["boxes", "1", "1", "1", "--beta-samples", "0"],
+        ["boxes", "1", "1", "1", "--beta-samples", "0"],  # the flag is gone
         ["parseval", "inf", "3"], ["parseval", "nan", "3"],
         ["parseval", "0.3", "inf"], ["parseval", "0.3", "nan"],
         ["theta", "1", "1", "1", "inf"], ["theta", "1", "1", "1", "nan"],

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,15 +19,23 @@ from tarry2d.lowerbound import (
     divergence_partial_sum,
     e_set_margin,
     e_set_margins,
+    gradient_margin,
     sample_box,
 )
-from tarry2d.poly import PolySpec, monomial_count, monomial_indices, recoeff_matrix
-from tarry2d.rng import philox_stream
+from tarry2d.poly import (
+    PolySpec,
+    critical_threshold,
+    monomial_count,
+    monomial_indices,
+    recoeff_matrix,
+)
+from tarry2d.rng import philox_stream, uniform32
 
 
 class TestConstant:
     def test_closed_forms(self):
-        assert c_constant(1, 1, 1) == pytest.approx(0.5)
+        # max(n m, 2) = 2 for (1,1)
+        assert c_constant(1, 1, 1) == pytest.approx(0.25)
         assert c_constant(2, 1, 2) == pytest.approx(1.0 / (4.0 * math.sqrt(5.0)))
 
     def test_rejects_bad_args(self):
@@ -39,7 +48,7 @@ class TestConstant:
 class TestBoxes:
     def test_volume_smallest_case(self):
         region = box_bounds(1, 1, 1, 1, 1, 1)
-        assert box_volume(region) == pytest.approx(0.0025)
+        assert box_volume(region) == pytest.approx(3.125e-4)
 
     def test_top_interval(self):
         c = c_constant(2, 1, 2)
@@ -89,6 +98,12 @@ class TestBoxes:
         assert np.all(betas >= region.lower)
         assert np.all(betas <= region.upper)
 
+    def test_sample_box_is_affine_in_uniform32(self):
+        region = box_bounds(2, 1, 2, 4, 2, 3)
+        u = uniform32(philox_stream(1), 500, 5)
+        assert np.array_equal(sample_box(region, philox_stream(1), 500),
+                              region.lower + (region.upper - region.lower) * u)
+
     def test_box_to_alpha_keeps_top_coefficient(self):
         # the recoefficient map is unitriangular, so the top entry is fixed
         region = box_bounds(2, 1, 2, 4, 2, 3)
@@ -117,6 +132,24 @@ class TestGradientMargin:
         F = PolySpec(1, 1, {(1, 0): 1.0})
         with pytest.raises(ValueError):
             e_set_margin(F, 2, (-1.0, 0.5, 2))
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)])
+    def test_closed_form_is_the_largest_vertex_margin(self, n, m):
+        # |grad F|^2 is convex in beta, so the grid margins peak at a vertex of the box
+        for k in (1, 2, 3):
+            for P, nu, mu in _centers([1, 2, 4, 8]):
+                region = box_bounds(n, m, k, P, nu, mu)
+                vertices = np.array(list(itertools.product(*zip(region.lower, region.upper))))
+                margins = e_set_margins(n, m, box_to_alpha(region, vertices), k, (nu / P, mu / P, P))
+                assert abs(margins.max() - gradient_margin(n, m, k)) <= 1e-12
+
+    def test_negative_for_every_degree_and_divergent_k(self):
+        for n, m in itertools.product(range(1, 8), range(1, 8)):
+            if n + m > 8:
+                continue
+            # k = 1..8 and every divergent k, 4k <= critical threshold
+            for k in range(1, max(9, critical_threshold(n, m) // 4 + 1)):
+                assert gradient_margin(n, m, k) < 0.0
 
 
 class TestDisjointness:
@@ -161,19 +194,6 @@ def _scalar_margin(F, k, square, grid=32):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     fx, fy = F.grad(X, Y)
     return float(np.max(fx * fx + fy * fy) - 1.0 / (2.0 * k))
-
-
-def _polygrid_margins(n, m, alphas, k, square, grid=32):
-    """e_set_margins on one square as polygrid2d over the phases' derivatives."""
-    u1, u2, P = square
-    xs = np.linspace(max(u1 - 1.0 / P, 0.0), min(u1, 1.0), grid)
-    ys = np.linspace(max(u2 - 1.0 / P, 0.0), min(u2, 1.0), grid)
-    C = np.zeros((n + 1, m + 1, len(alphas)))
-    for r, (i, j) in enumerate(monomial_indices(n, m)):
-        C[i, j] = alphas[:, r]
-    fx = np.polynomial.polynomial.polygrid2d(xs, ys, C[1:] * np.arange(1, n + 1)[:, None, None])
-    fy = np.polynomial.polynomial.polygrid2d(xs, ys, C[:, 1:] * np.arange(1, m + 1)[None, :, None])
-    return np.max(fx * fx + fy * fy, axis=(1, 2)) - 1.0 / (2.0 * k)
 
 
 def _centers(scales):
@@ -238,35 +258,20 @@ class TestBatchedSweep:
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 4), m=st.integers(1, 3), k=st.integers(1, 4),
-           first=st.integers(1, 16), data=st.data(),
-           seed=st.integers(0, 2**31), samples=st.integers(1, 30))
-    def test_sweep_matches_per_box_loop(self, n, m, k, first, data, seed, samples):
+           first=st.integers(1, 16), data=st.data())
+    def test_sweep_rows_are_volume_and_gradient_margin(self, n, m, k, first, data):
         scales = [first]
         while 2 * scales[-1] <= 16 and data.draw(st.booleans()):
             scales.append(data.draw(st.integers(2 * scales[-1], 16)))
-        # each scale's stream, cut into runs of `samples` rows box by box
-        draws = {P: sample_box(box_bounds(n, m, k, P, 1, 1), philox_stream(seed, 4, P),
-                               P * P * samples) for P in scales}
-        want = []
-        for P, nu, mu in _centers(scales):
-            region = box_bounds(n, m, k, P, nu, mu)
-            box = (nu - 1) * P + mu - 1
-            alphas = box_to_alpha(region, draws[P][box * samples : (box + 1) * samples])
-            margins = _polygrid_margins(n, m, alphas, k, (nu / P, mu / P, P))
-            want.append({"P": P, "nu": nu, "mu": mu, "volume": box_volume(region),
-                         "margin_max": float(margins.max())})
-        assert lowerbound.box_sweep(n, m, k, scales, samples, seed) == want
-
-    def test_scale_draws_do_not_depend_on_other_scales(self):
-        alone = lowerbound.box_sweep(2, 1, 2, [4], 7, 11)
-        both = lowerbound.box_sweep(2, 1, 2, [2, 4], 7, 11)
-        assert both[4:] == alone
+        want = [{"P": P, "nu": nu, "mu": mu, "volume": box_volume(box_bounds(n, m, k, P, nu, mu)),
+                 "margin_max": gradient_margin(n, m, k)} for P, nu, mu in _centers(scales)]
+        assert lowerbound.box_sweep(n, m, k, scales) == want
 
     def test_sweep_scale_cap(self):
         # 2.1e9 box pairs at scale 256 alone, 3.4e10 at 512
-        sweep = lowerbound.box_sweep(1, 1, 1, [256], 1, 3)
+        sweep = lowerbound.box_sweep(1, 1, 1, [256])
         assert [(s["P"], s["nu"], s["mu"]) for s in sweep] == _centers([256])
-        for check in (lambda scales: lowerbound.box_sweep(1, 1, 1, scales, 1, 3),
+        for check in (lambda scales: lowerbound.box_sweep(1, 1, 1, scales),
                       lambda scales: disjointness_check(1, 1, 1, scales)):
             with pytest.raises(ValueError, match="256"):
                 check([2, 512])

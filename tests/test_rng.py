@@ -35,8 +35,8 @@ class TestPhiloxStream:
     def test_package_tags_get_distinct_keys(self):
         # every tag tuple the package draws from, over ranges it reaches:
         # 2^28 thin-shell draws, every shell of every radius in RADII with
-        # 2^22 main draws per shell, and every box scale up to
-        # lowerbound._MAX_SCALE
+        # 2^22 main draws per shell; plus the retired box tags (4, P), P up
+        # to lowerbound._MAX_SCALE, which no new stream may take
         tags = [(0,), (5,)]
         tags += [(1, b) for b in range(1 << 12)]
         for R in RADII:
@@ -48,10 +48,9 @@ class TestPhiloxStream:
         assert len({_key(0, *t)[0] for t in tags}) == len(tags)
 
     def test_np_random_only_in_rng(self):
-        # bar lowerbound.sample_box, the one draw left on Generator.uniform
         src = Path(tarry2d.__file__).parent
         users = sorted(p.name for p in src.glob("*.py") if "np.random" in p.read_text())
-        assert users == ["lowerbound.py", "rng.py"]
+        assert users == ["rng.py"]
 
 
 class TestUniform32:
