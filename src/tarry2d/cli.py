@@ -71,8 +71,10 @@ def _csv_cell(v) -> str:
 
 def _emit(args, payload: dict, table) -> None:
     """Write the payload as JSON or, with --format csv, the table: a list of
-    rows as dicts, whose first row's keys are the header."""
+    rows as dicts, whose first row's scalar keys are the header (theta's
+    per-shell list stays in the JSON)."""
     if getattr(args, "format", "json") == "csv":
+        table = [{k: v for k, v in row.items() if not isinstance(v, list)} for row in table]
         lines = [",".join(table[0])]
         lines += [",".join(_csv_cell(c) for c in row.values()) for row in table]
         text = "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quad
 from .poly import critical_threshold, monomial_count
-from .rng import philox_stream, uniform32
+from .rng import philox_stream, summarize, uniform32
 
 _BLOCK = 1 << 13  # main draws per stream
 _CALL_BLOCKS = 8  # blocks per J call: at most 2^16 rows
@@ -32,6 +32,7 @@ class ThetaEstimate:
     value: float
     std_error: float
     n_samples: int
+    shells: list  # per shell: lo, hi, alloc (main draws), mean, std_error, ess of |J|^(2k)
     seed: int
 
 
@@ -94,9 +95,10 @@ def theta_truncated(
     Shells get samples in proportion to shell volume times the square root
     of a pilot second moment (about 1% of the budget), rounded by largest
     remainder, so n_samples equals the request unless a shell is raised to
-    its floor of 64; the estimator and its standard error combine shells
-    exactly, in fixed order.  Each J is within tol, which sizes its rule
-    (see quad).  The box volume (2R)^N must be a finite float.
+    its floor of 64; rng.summarize gives each shell's mean of |J|^(2k) and its
+    variance, which value and std_error weight by the shell volumes in fixed
+    order.  Each J is within tol, which sizes its rule (see quad).  The box
+    volume (2R)^N must be a finite float.
 
     J is evaluated on all pilot rows in one call, then on the main draws
     _CALL_BLOCKS blocks of _BLOCK rows at a time; `workers` threads share the
@@ -138,26 +140,22 @@ def theta_truncated(
     # evaluated on _CALL_BLOCKS whole blocks per call
     blocks = [(l, blk, min(_BLOCK, alloc[l] - blk * _BLOCK))
               for l in range(len(shells)) for blk in range(-(-alloc[l] // _BLOCK))]
-    tot = np.zeros(len(shells))
-    tot2 = np.zeros(len(shells))
+    vals = [[] for _ in shells]
     for c in range(0, len(blocks), _CALL_BLOCKS):
         call = blocks[c : c + _CALL_BLOCKS]
         rows = [_sample_shell(philox_stream(seed, 3, rtag, l, blk), *shells[l], N, size)
                 for l, blk, size in call]
         f = _abs_J_pow(n, m, k, np.concatenate(rows), tol, workers)
         for (l, _, _), fb in zip(call, np.split(f, np.cumsum([len(r) for r in rows])[:-1])):
-            tot[l] += float(fb.sum())
-            tot2[l] += float((fb * fb).sum())
-    mean = tot / alloc
-    var_l = np.maximum(tot2 / alloc - mean * mean, 0.0) / alloc
-    value = float(sum(vols[l] * mean[l] for l in range(len(shells))))
-    var = float(sum(vols[l] ** 2 * var_l[l] for l in range(len(shells))))
+            vals[l].append(fb)
+    stats = [summarize(v, int(a)) for v, a in zip(vals, alloc)]
     return ThetaEstimate(
-        n=n, m=m, k=k, R=float(R), value=value,
-        std_error=math.sqrt(var),
+        n=n, m=m, k=k, R=float(R), value=float(sum(v * s.mean for v, s in zip(vols, stats))),
+        std_error=math.sqrt(float(sum(v**2 * s.var for v, s in zip(vols, stats)))),
         n_samples=int(alloc.sum()) + n_pilot_per * len(shells),
-        seed=seed,
-    )
+        shells=[{"lo": float(a), "hi": float(b), "alloc": int(c), "mean": s.mean,
+                 "std_error": math.sqrt(s.var), "ess": s.ess}
+                for (a, b), c, s in zip(shells, alloc, stats)], seed=seed)
 
 
 @dataclass
@@ -288,8 +286,7 @@ def _wls_slope(logx: np.ndarray, vals: np.ndarray, ses: np.ndarray):
     if np.any(vals <= 0):
         return float("nan"), float("inf")
     logy = np.log(vals)
-    sig = np.where(vals > 0, np.maximum(ses / vals, 1e-12), np.inf)
-    w = 1.0 / sig**2
+    w = 1.0 / np.maximum(ses / vals, 1e-12) ** 2
     W = w.sum()
     xb = (w * logx).sum() / W
     yb = (w * logy).sum() / W

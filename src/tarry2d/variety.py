@@ -19,7 +19,7 @@ import numpy as np
 
 from .parallel import map_blocks
 from .poly import monomial_count, monomial_indices
-from .rng import philox_stream, uniform32
+from .rng import philox_stream, summarize, uniform32
 
 SHELL_BLOCK = 1 << 16  # thin-shell draws per random stream; 4k rows of 512 kB
 
@@ -100,7 +100,9 @@ def gram_dets(x: np.ndarray, y: np.ndarray, n: int, m: int) -> np.ndarray:
     determinant of the signed system.  A translation of a set changes D by a
     unipotent row operation, which leaves det(D D^T) as it is, so each set is
     first centred at its mean: its powers then lose fewer digits to
-    cancellation.  Round-off negatives read 0.
+    cancellation.  LU on G squares the condition number of D, so a set with
+    det G below 1e-8 times the Hadamard bound prod G_ii takes it from a QR
+    of D^T instead, as prod diag(R)^2.  Round-off negatives read 0.
     """
     D = jacobi_batch(x - x.mean(axis=0), y - y.mean(axis=0), n, m)
     N = D.shape[0]
@@ -108,7 +110,12 @@ def gram_dets(x: np.ndarray, y: np.ndarray, n: int, m: int) -> np.ndarray:
     for a in range(N):
         for b in range(a + 1):
             G[:, a, b] = G[:, b, a] = np.einsum("cs,cs->s", D[a], D[b])
-    return np.maximum(np.linalg.det(G), 0.0)
+    det = np.linalg.det(G)
+    bad = np.flatnonzero(det < 1e-8 * np.prod(np.diagonal(G, axis1=1, axis2=2), axis=1))
+    if bad.size and D.shape[1] >= N:  # with fewer columns than rows G is singular
+        r = np.linalg.qr(D[:, :, bad].transpose(2, 1, 0), mode="r")
+        det[bad] = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1) ** 2
+    return np.maximum(det, 0.0)
 
 
 def _powers(v: np.ndarray, d: int) -> list:
@@ -153,27 +160,23 @@ def ellipsoid_volume_mc(M: np.ndarray, n_samples: int, seed: int):
     """Monte Carlo volume of {a : a^T M a <= 1} for PSD M, by box rejection.
 
     Returns (volume, std_error).  Sampling is in the eigenbasis of M, over
-    the bounding box of the ellipsoid.
+    the bounding box of the ellipsoid; rng.summarize takes each block's hit indicators.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     lam, _ = np.linalg.eigh(np.asarray(M, dtype=float))
     if lam.min() <= 0:
         raise ValueError("matrix must be positive definite")
     half = 1.0 / np.sqrt(lam)
     box_vol = float(np.prod(2.0 * half))
     bitgen = philox_stream(seed, 0)
-    N = lam.size
-    hits = 0
-    done = 0
-    chunk = 1_000_000
-    while done < n_samples:
-        s = min(chunk, n_samples - done)
-        z = (2.0 * uniform32(bitgen, s, N) - 1.0) * half
-        hits += int(np.count_nonzero((z * z) @ lam <= 1.0))
-        done += s
-    p = hits / n_samples
-    vol = box_vol * p
-    se = box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
-    return vol, se
+
+    def hit_block(done: int) -> np.ndarray:
+        z = (2.0 * uniform32(bitgen, min(1_000_000, n_samples - done), lam.size) - 1.0) * half
+        return (z * z) @ lam <= 1.0
+
+    s = summarize(map(hit_block, range(0, n_samples, 1_000_000)), n_samples)
+    return box_vol * s.mean, box_vol * math.sqrt(s.var)
 
 
 def ellipsoid_volume_check(
@@ -261,8 +264,6 @@ def thin_shell_measure(
     u10, u01 = u[idx.index((1, 0))], u[idx.index((0, 1))]
     nonlinear = [(r, i, j) for r, (i, j) in enumerate(idx) if i + j > 1]
 
-    n_blocks = (n_samples + SHELL_BLOCK - 1) // SHELL_BLOCK
-
     def run_block(b: int):
         size = min(SHELL_BLOCK, n_samples - b * SHELL_BLOCK)
         s = uniform32(philox_stream(seed, 1, b), 4 * k, size)
@@ -285,29 +286,15 @@ def thin_shell_measure(
             t = _monomial(xp, yp, i, j)
             ok &= np.abs(t[:k].sum(0) - t[k:].sum(0) - u[r]) <= h
         if weight == "none":
-            n_in = int(np.count_nonzero(ok))
-            return float(n_in), float(n_in), n_in
+            return np.ones(int(np.count_nonzero(ok)))
         s = s.compress(ok, axis=1)
-        w = np.sqrt(gram_dets(s[: 2 * k], s[2 * k :], n, m))
-        return float(w.sum()), float((w * w).sum()), int(np.count_nonzero(w))
+        return np.sqrt(gram_dets(s[: 2 * k], s[2 * k :], n, m))
 
-    results = map_blocks(run_block, n_blocks, workers)
-    w_sum = sum(r[0] for r in results)
-    w_sq = sum(r[1] for r in results)
-    n_acc = sum(r[2] for r in results)
-
-    mean = w_sum / n_samples
-    var = max(w_sq / n_samples - mean * mean, 0.0) / n_samples
+    st = summarize(map_blocks(run_block, -(-n_samples // SHELL_BLOCK), workers), n_samples)
     return SurfaceMeasureEstimate(
-        n=n, m=m, k=k, h=h,
-        value=mean * scale,
-        std_error=math.sqrt(var) * scale,
-        n_samples=n_samples,
-        n_accepted=n_acc,
-        effective_sample_size=w_sum * w_sum / w_sq if w_sq > 0 else 0.0,
-        seed=seed,
-        weight=weight,
-    )
+        n=n, m=m, k=k, h=h, value=st.mean * scale, std_error=math.sqrt(st.var) * scale,
+        n_samples=n_samples, n_accepted=st.nonzero, effective_sample_size=st.ess,
+        seed=seed, weight=weight)
 
 
 def theta_via_thin_shell(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tarry2d
-from tarry2d.rng import philox_stream, uniform32
+from tarry2d.rng import philox_stream, summarize, uniform32
 from tarry2d.theta import _shell_bounds
 
 # every theta radius of the tests, the README and the benchmark's jobs
@@ -52,6 +52,11 @@ class TestPhiloxStream:
         users = sorted(p.name for p in src.glob("*.py") if "np.random" in p.read_text())
         assert users == ["rng.py"]
 
+    def test_variance_only_in_rng(self):
+        # every estimator takes its mean, variance and ESS from rng.summarize
+        src = Path(tarry2d.__file__).parent
+        assert [p.name for p in src.glob("*.py") if "mean * mean" in p.read_text()] == ["rng.py"]
+
 
 class TestUniform32:
     @pytest.mark.parametrize("rows, size", [(6, 5), (3, 5), (1, 1)])
@@ -83,3 +88,24 @@ class TestUniform32:
                 chi2 = float(((counts - expected) ** 2 / expected).sum())
                 # chi-square with 255 degrees of freedom: upper 1e-4 point 347.7
                 assert chi2 < 347.7
+
+
+class TestSummarize:
+    def test_sums_blocks_in_the_order_given(self):
+        blocks = [np.array([1.0, 0.0, 3.0]), np.array([2.0])]
+        s = summarize(blocks, 5)  # one draw of the 5 is in no block
+        assert (s.total, s.total_sq, s.nonzero) == (6.0, 14.0, 3)
+        assert s.mean == 6.0 / 5
+        assert s.var == (14.0 / 5 - 6.0 / 5 * (6.0 / 5)) / 5
+        assert s.ess == 36.0 / 14.0
+        # block by block: 1e16 + 1 + 1 loses both ones, 1e16 + 2 keeps them
+        parts = [np.array([1e16]), np.array([1.0]), np.array([1.0])]
+        assert summarize(parts, 3).total == 1e16
+        assert summarize([parts[0], np.array([1.0, 1.0])], 3).total == 1e16 + 2
+
+    def test_zeros_and_indicators(self):
+        assert summarize([], 4) == (0.0, 0.0, 0, 0.0, 0.0, 0.0)
+        assert summarize([np.zeros(3)], 3).ess == 0.0
+        s = summarize([np.array([True, False, True, True])], 4)
+        assert (s.total, s.nonzero, s.mean, s.ess) == (3.0, 3, 0.75, 3.0)
+        assert s.var == pytest.approx(0.75 * 0.25 / 4, rel=1e-15)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tarry2d import quad
 from tarry2d.lowerbound import shell_series_term
+from tarry2d.poly import monomial_count
 from tarry2d.rng import philox_stream
 from tarry2d.theta import (
     _sample_shell,
@@ -126,8 +127,37 @@ class TestThetaTruncated:
     def test_to_dict_keys(self):
         est = theta_truncated(1, 1, 1, 2.0, 5_000, seed=15)
         assert set(asdict(est)) == {
-            "n", "m", "k", "R", "value", "std_error", "n_samples", "seed"
+            "n", "m", "k", "R", "value", "std_error", "n_samples", "shells", "seed"
         }
+        assert [set(row) for row in est.shells] == [
+            {"lo", "hi", "alloc", "mean", "std_error", "ess"}] * 2
+
+    @pytest.mark.parametrize("n, m, R, samples", [(1, 1, 5.0, 3000), (2, 1, 1.0, 2000)])
+    def test_shells_reproduce_value(self, n, m, R, samples):
+        est = theta_truncated(n, m, 1, R, samples, seed=16)
+        N = monomial_count(n, m)
+        assert [(row["lo"], row["hi"]) for row in est.shells] == _shell_bounds(R)
+        vols = [(2 * row["hi"]) ** N - (2 * row["lo"]) ** N for row in est.shells]
+        # the shells sum to value bit for bit, in shell order
+        assert sum(v * row["mean"] for v, row in zip(vols, est.shells)) == est.value
+        se = math.sqrt(sum((v * row["std_error"]) ** 2 for v, row in zip(vols, est.shells)))
+        assert se == pytest.approx(est.std_error, rel=1e-12)
+        pilot = len(est.shells) * max(64, samples // 100 // len(est.shells))
+        assert sum(row["alloc"] for row in est.shells) + pilot == est.n_samples
+        assert all(row["alloc"] >= 64 and 0 < row["ess"] <= row["alloc"] for row in est.shells)
+
+    @pytest.mark.parametrize("R, samples", [(2.0, 500), (8.0, 2000)])
+    def test_standard_error_coverage(self, R, samples):
+        # theta(R) of (1,1,1) is the integral over gamma in [-R, R] of the
+        # two-coefficient mass at gamma; Gauss-Legendre in gamma on 96 nodes
+        # gives 3.529652796823611 at R = 2 and 15.51132712352392 at R = 8,
+        # within 1e-14 of 128 nodes.  About 95% of small runs should land
+        # within 2 se of it.
+        g, w = np.polynomial.legendre.leggauss(96)
+        ref = R * sum(wi * parseval_check(R * gi, R, tol=1e-9).value for gi, wi in zip(g, w))
+        hits = sum(abs(est.value - ref) <= 2 * est.std_error
+                   for est in (theta_truncated(1, 1, 1, R, samples, seed=s) for s in range(200)))
+        assert 0.88 <= hits / 200 <= 0.99
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tarry2d.poly import alpha_inverse, monomial_count, monomial_indices
@@ -168,6 +168,10 @@ class TestGram:
     @settings(max_examples=100, deadline=None)
     @given(nm=st.sampled_from([(1, 1), (2, 1)]), k=st.integers(2, 3), coords=COORDS,
            lam=st.floats(0.25, 4.0))
+    # a near-degenerate set, cond G = 1.3e24: LU on G = D D^T put G0 off by 1.4e-3
+    # relative and the residual at 6.7e-41 against a slack of 4.9e-47
+    @example(nm=(2, 1), k=2, coords=[0.0, 0.0, 1.7592873299784266e-07, 0.0, 0.0, 0.0, 0.0, 1.0]
+             + [0.0] * 4, lam=1.5)
     def test_scaling_law_property(self, nm, k, coords, lam):
         n, m = nm
         cfg = PointConfig(k, np.reshape(coords[: 4 * k], (2 * k, 2)))
@@ -194,6 +198,14 @@ class TestGram:
             g, gp = gram_dets(halves[:, :, 0].T, halves[:, :, 1].T, 1, 1)
             assert g0 >= g + gp - 1e-12 * max(g0, 1.0)
 
+    def test_rank_deficient_sets_read_near_zero(self):
+        # with fewer than N gradient columns G is singular, and a QR of D^T
+        # would have too few diagonal entries to give its determinant
+        rng = np.random.default_rng(13)
+        for n, m, points in ((2, 1, 2), (2, 2, 3)):
+            x, y = rng.random((points, 200)), rng.random((points, 200))
+            assert np.all(gram_dets(x, y, n, m) <= 1e-12)
+
     def test_batch_matches_single(self):
         rng = np.random.default_rng(12)
         for n, m, k in ((1, 1, 2), (2, 1, 3)):
@@ -218,6 +230,20 @@ class TestEllipsoid:
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
             ellipsoid_volume_mc(np.diag([1.0, 0.0, 1.0]), 1000, seed=1)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_bad_inputs(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            ellipsoid_volume_mc(np.eye(3), n_samples, seed=1)
+
+    def test_standard_error_coverage(self):
+        # about 95% of small runs should land within 2 se of the closed form
+        A = np.array([[1.0, 0.3, 0.0], [0.2, 2.0, 0.5], [0.0, -0.4, 0.7]])
+        M = A @ A.T
+        want = 4.0 * math.pi / 3.0 / math.sqrt(np.linalg.det(M))
+        hits = sum(abs(vol - want) <= 2 * se
+                   for vol, se in (ellipsoid_volume_mc(M, 2000, seed=s) for s in range(200)))
+        assert 0.88 <= hits / 200 <= 0.99
 
     def test_identity_against_gram(self):
         rng = np.random.default_rng(14)
