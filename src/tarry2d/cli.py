@@ -4,9 +4,10 @@ Every experiment is a subcommand with an explicit seed and machine-readable
 output.  JSON is canonical: a command returns its payload, which main opens
 with a "run" block of every argument and flag that is set, bar --output and
 --workers.  theta, diagnose and boxes, whose results are tables, also take
---format csv.  All floats are emitted with 17 significant digits so
-round-trips are lossless; reruns with identical flags produce byte-identical
-output, for any --workers value.
+--format csv.  Both are written by the json encoder, whose floats are the
+shortest text that reads back to the same double (an integer-valued float
+prints as 2.0), so round-trips are lossless; reruns with identical flags
+produce byte-identical output, for any --workers value.
 
 Exit codes: 0 success, 1 computational failure (budget exceeded, hypothesis
 violation), 2 input error.
@@ -19,54 +20,11 @@ import json
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import lowerbound, poly, quad, theta, variety
 from .rng import philox_stream, uniform32
 
 DEFAULT_SEED = 20240001
 _NO_EFFECT = "accepted for uniformity with the other seeded commands; has no effect"
-
-
-def _fmt_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return format(x, ".17g")
-
-
-def _dumps(obj, indent=0) -> str:
-    pad = "  " * indent
-    pad2 = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{pad2}{json.dumps(str(k))}: {_dumps(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad2}{_dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
-
-
-def _csv_cell(v) -> str:
-    return _fmt_float(v) if isinstance(v, float) else str(v)
 
 
 def _emit(args, payload: dict, table) -> None:
@@ -76,13 +34,16 @@ def _emit(args, payload: dict, table) -> None:
     if getattr(args, "format", "json") == "csv":
         table = [{k: v for k, v in row.items() if not isinstance(v, list)} for row in table]
         lines = [",".join(table[0])]
-        lines += [",".join(_csv_cell(c) for c in row.values()) for row in table]
+        lines += [",".join(json.dumps(c) for c in row.values()) for row in table]
         text = "\n".join(lines) + "\n"
     else:
-        text = _dumps(payload) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

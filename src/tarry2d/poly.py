@@ -3,8 +3,8 @@
 Coefficient vectors are ordered by the graded index order: (i, j) precedes
 (i', j') when i + j < i' + j', with ties broken first on i, then on j.
 Recentering a polynomial at a new base point is a unitriangular linear map
-on coefficient vectors, exposed here both as an explicit matrix and as a
-direct Taylor-shift of the coefficients.
+on coefficient vectors, exposed here as an explicit matrix (recoeff_matrix),
+which beta_to_alpha and taylor_recenter apply.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class PolySpec:
                 if (i, j) in coeffs:
                     raise ValueError(f"duplicate coefficient at ({i}, {j})")
                 coeffs[(i, j)] = v
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed polynomial object: {exc}") from exc
         return cls(n, m, coeffs)
 
@@ -156,29 +156,13 @@ def taylor_recenter(F: PolySpec, u1: float, u2: float):
 
     Returns (beta, beta00) where beta is the length-N vector over the graded
     index order and beta00 = F(u1, u2) is the constant term, carried
-    separately because coefficient vectors exclude it.
+    separately because coefficient vectors exclude it.  Recentering at u
+    undoes recentering at -u, so beta is beta_to_alpha at -u.
     """
-    C = F.coeff_matrix()
-    n, m = F.n, F.m
-    B = np.zeros_like(C)
-    for s1 in range(n + 1):
-        for s2 in range(m + 1):
-            acc = 0.0
-            for p in range(s1, n + 1):
-                for q in range(s2, m + 1):
-                    acc += (
-                        C[p, q]
-                        * math.comb(p, s1)
-                        * math.comb(q, s2)
-                        * u1 ** (p - s1)
-                        * u2 ** (q - s2)
-                    )
-            B[s1, s2] = acc
-    beta = np.array([B[i, j] for (i, j) in F.indices])
-    return beta, float(B[0, 0])
+    return beta_to_alpha(F.n, F.m, -u1, -u2, F.coeff_vector()), float(F.eval(u1, u2))
 
 
-def recoeff_matrix(n: int, m: int, u1, u2) -> np.ndarray:
+def recoeff_matrix(n: int, m: int, u1: float, u2: float) -> np.ndarray:
     """N x N lower-unitriangular matrix U mapping recentered to original coefficients.
 
     Rows and columns are indexed by the graded index order taken in
@@ -186,35 +170,33 @@ def recoeff_matrix(n: int, m: int, u1, u2) -> np.ndarray:
     the map is triangular with unit diagonal: with beta_desc the recentered
     coefficients listed from the top index down, U @ beta_desc gives the
     original coefficients alpha in the same descending arrangement.  Use
-    beta_to_alpha for vectors kept in ascending order.  Arrays u1 and u2 of
-    one shape give one matrix per center, shape u1.shape + (N, N).
+    beta_to_alpha for vectors kept in ascending order.
     """
     idx_desc = monomial_indices(n, m)[::-1]
     pos = {ij: r for r, ij in enumerate(idx_desc)}
     N = len(idx_desc)
     # powers by Python's float ** int: numpy's power rounds some of them differently
-    x, y = (np.frompyfunc(pow, 2, 1)(np.asarray(u, dtype=float)[..., None], np.arange(d + 1))
-            .astype(float) for u, d in ((u1, n), (u2, m)))
-    U = np.zeros(x.shape[:-1] + (N, N))
+    x = [float(u1) ** p for p in range(n + 1)]
+    y = [float(u2) ** q for q in range(m + 1)]
+    U = np.zeros((N, N))
     for (s, t), r in pos.items():
         for p in range(s, n + 1):
             for q in range(t, m + 1):
                 if p + q == 0:
                     continue
-                c = pos[(p, q)]
-                U[..., r, c] = ((-1) ** (p - s + q - t) * math.comb(p, s) * math.comb(q, t)
-                                * x[..., p - s] * y[..., q - t])
+                U[r, pos[(p, q)]] = ((-1) ** (p - s + q - t) * math.comb(p, s) * math.comb(q, t)
+                                     * x[p - s] * y[q - t])
     return U
 
 
-def beta_to_alpha(n: int, m: int, u1, u2, beta) -> np.ndarray:
+def beta_to_alpha(n: int, m: int, u1: float, u2: float, beta) -> np.ndarray:
     """Map recentered coefficients (ascending graded order) back to original ones.
 
-    beta is one vector or a batch of rows; arrays u1 and u2 hold centers that
-    broadcast against beta's leading axes.  Each entry sums U's row times beta
-    from 0 in column order, as numpy's loop for U @ beta_desc does, so a row
-    maps to the same bits alone or in any batch (a GEMM would not).
+    beta is one vector or a batch of rows, all recentered at (u1, u2).  Each
+    entry sums U's row times beta from 0 in column order, as numpy's loop for
+    U @ beta_desc does, so a row maps to the same bits alone or in any batch
+    (a GEMM would not).
     """
     U = recoeff_matrix(n, m, u1, u2)
     b = np.asarray(beta, dtype=float)[..., ::-1]
-    return sum(U[..., c] * b[..., c, None] for c in range(b.shape[-1]))[..., ::-1]
+    return sum(U[:, c] * b[..., c, None] for c in range(b.shape[-1]))[..., ::-1]

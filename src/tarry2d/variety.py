@@ -56,7 +56,7 @@ class PointConfig:
     def from_json_dict(cls, obj: dict) -> "PointConfig":
         try:
             return cls(int(obj["k"]), np.array(obj["points"], dtype=float))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed configuration object: {exc}") from exc
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from tarry2d import cli
 from tarry2d.quad import osc_integral
+from tarry2d.theta import theta_truncated
 from tarry2d.poly import PolySpec
 
 DATA = Path(__file__).parent / "data"
@@ -120,7 +121,9 @@ class TestDeterminism:
         _, out = run_cli(capsys, "theta", "1", "1", "1", "2.0",
                          "--samples", "5000")
         obj = json.loads(out)
-        assert format(obj["value"], ".17g") in out
+        est = theta_truncated(1, 1, 1, 2.0, 5000, cli.DEFAULT_SEED, tol=1e-6)
+        assert obj["value"].hex() == est.value.hex()
+        assert obj["std_error"].hex() == est.std_error.hex()
 
 
 class TestFormatsAndOutput:
@@ -385,13 +388,16 @@ class TestOtherCommands:
 GOLDEN = [
     # captured when theta's draws moved to rng.uniform32 on streams keyed by R:
     # diagnose's estimate at each radius is theta's at that radius and seed;
-    # each estimate's "shells" rows added later, no other line moved
+    # each estimate's "shells" rows added later, no other line moved;
+    # recaptured with the json encoder: only float text changed
     ("theta_1_1_1_2_samples_1000_seed_3.json",
      ["theta", "1", "1", "1", "2", "--samples", "1000", "--seed", "3"]),
+    # recaptured with the json encoder: only float text changed
     ("diagnose_1_1_1_radii_2_4_8_samples_2000_seed_3.json",
      ["diagnose", "1", "1", "1", "--radii", "2", "4", "8", "--samples", "2000",
       "--seed", "3"]),
-    # captured with two 32-bit uniforms per Philox word
+    # captured with two 32-bit uniforms per Philox word; recaptured with the
+    # json encoder: only float text changed
     ("thinshell_1_1_2_h_0.05_samples_200000_seed_5.json",
      ["thinshell", "1", "1", "2", "--h", "0.05", "--samples", "200000", "--seed", "5"]),
 ]
@@ -406,6 +412,7 @@ class TestGoldenOutputs:
         assert code == 0
         assert out == golden
 
+    # recaptured with the json encoder: only float text changed
     def test_parseval(self, capsys):
         golden = (Path(__file__).parent / "data" / "parseval_0.3_5.json").read_text()
         assert run_cli(capsys, "parseval", "0.3", "5") == (0, golden)
@@ -418,7 +425,7 @@ class TestGoldenOutputs:
 
     # translation a, b, G0_shifted and abs_diff recaptured when the
     # translation came to draw from stream (seed, 5), and again when it moved
-    # to rng.uniform32
+    # to rng.uniform32; recaptured with the json encoder: only float text changed
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_gram(self, capsys, monkeypatch, workers):
         golden = (DATA / "gram_points_2_1_n_2_m_1_seed_3.json").read_text()
@@ -427,7 +434,7 @@ class TestGoldenOutputs:
                        "--seed", "3", "--workers", workers) == (0, golden)
 
     # value_re and value_im recaptured, by at most 4.6e-20, when every cos and sin
-    # came to quad._cos_sin
+    # came to quad._cos_sin; recaptured with the json encoder: only float text changed
     @pytest.mark.parametrize("degree", ["1_1", "1_2", "3_1"])
     def test_integral_linear_in_one_variable(self, capsys, monkeypatch, degree):
         golden = (DATA / f"integral_phase_{degree}_tol_1e-9.json").read_text()
@@ -531,6 +538,32 @@ class TestInputContract:
         assert code == 2
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "finite" in captured.err
+
+    @pytest.mark.parametrize("command, text", [
+        (["integral"], '{"n": 1e400, "m": 1, "coeffs": []}'),
+        (["integral"], '{"n": 1, "m": 1, "coeffs": [{"i": 1e400, "j": 0, "value": 1.0}]}'),
+        (["gram", "--n", "1", "--m", "1"], '{"k": 1e400, "points": [[0.1, 0.2], [0.3, 0.5]]}'),
+    ])
+    def test_integer_field_beyond_float_range(self, capsys, tmp_path, command, text):
+        # json reads 1e400 as inf, which int() cannot convert
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code = cli.main([command[0], str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("input error: malformed")
+
+    @pytest.mark.parametrize("dest", ["absent/x.json", "."])
+    def test_unwritable_output(self, capsys, tmp_path, monkeypatch, dest):
+        # a missing directory, and a directory in place of a file
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["exponent", "2", "1", "--output", dest])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"input error: cannot write {dest}:")
 
     def test_infinite_coefficient_in_polynomial_file(self, capsys, tmp_path):
         path = tmp_path / "inf.json"

@@ -205,12 +205,6 @@ class TestRecoeffMatrix:
             assert np.array_equal(batch, np.stack([beta_to_alpha(n, m, u1, u2, b) for b in rows]))
             U = recoeff_matrix(n, m, u1, u2)
             assert np.array_equal(batch, np.stack([(U @ b[::-1])[::-1] for b in rows]))
-            # one center per row
-            us = rng.uniform(0, 1, (7, 2))
-            assert np.array_equal(recoeff_matrix(n, m, us[:, 0], us[:, 1]),
-                                  np.stack([recoeff_matrix(n, m, *u) for u in us]))
-            assert np.array_equal(beta_to_alpha(n, m, us[:, 0], us[:, 1], rows),
-                                  np.stack([beta_to_alpha(n, m, *u, b) for u, b in zip(us, rows)]))
 
     def test_consistency_with_taylor_recenter(self):
         rng = np.random.default_rng(37)
