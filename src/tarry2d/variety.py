@@ -102,7 +102,12 @@ def gram_dets(x: np.ndarray, y: np.ndarray, n: int, m: int) -> np.ndarray:
     first centred at its mean: its powers then lose fewer digits to
     cancellation.  LU on G squares the condition number of D, so a set with
     det G below 1e-8 times the Hadamard bound prod G_ii takes it from a QR
-    of D^T instead, as prod diag(R)^2.  Round-off negatives read 0.
+    of D^T instead, as prod diag(R)^2.  Centring adds multiples of lower rows
+    to higher ones, which can bury a row far smaller than they are (a set
+    near the origin, spread over 1e-7 in x), so such a set takes the QR of
+    the centred or the raw D, whichever has the larger det over its own
+    Hadamard bound: rows closer to orthogonal lose fewer digits.  Round-off
+    negatives read 0.
     """
     D = jacobi_batch(x - x.mean(axis=0), y - y.mean(axis=0), n, m)
     N = D.shape[0]
@@ -113,9 +118,18 @@ def gram_dets(x: np.ndarray, y: np.ndarray, n: int, m: int) -> np.ndarray:
     det = np.linalg.det(G)
     bad = np.flatnonzero(det < 1e-8 * np.prod(np.diagonal(G, axis1=1, axis2=2), axis=1))
     if bad.size and D.shape[1] >= N:  # with fewer columns than rows G is singular
-        r = np.linalg.qr(D[:, :, bad].transpose(2, 1, 0), mode="r")
-        det[bad] = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1) ** 2
+        (v, h), (v_raw, h_raw) = (_qr_det(d) for d in (D[:, :, bad],
+                                                       jacobi_batch(x[:, bad], y[:, bad], n, m)))
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 compares False
+            det[bad] = np.where(v_raw / h_raw > v / h, v_raw, v)
     return np.maximum(det, 0.0)
+
+
+def _qr_det(D: np.ndarray):
+    """det(D D^T) per set from a QR of D^T, and its Hadamard bound prod |D_r|^2."""
+    r = np.linalg.qr(D.transpose(2, 1, 0), mode="r")
+    return (np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1) ** 2,
+            np.prod(np.einsum("rcs,rcs->sr", D, D), axis=1))
 
 
 def _powers(v: np.ndarray, d: int) -> list:

@@ -172,6 +172,10 @@ class TestGram:
     # relative and the residual at 6.7e-41 against a slack of 4.9e-47
     @example(nm=(2, 1), k=2, coords=[0.0, 0.0, 1.7592873299784266e-07, 0.0, 0.0, 0.0, 0.0, 1.0]
              + [0.0] * 4, lam=1.5)
+    # a set near the origin, 6e-8 wide in x: centring buried the x^2 y row under
+    # the x^2 one, det over Hadamard fell from 0.375 to 1e-14 and G0 was 4.9e-9 off
+    @example(nm=(2, 1), k=2, coords=[5.960464477539063e-08, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.859375]
+             + [0.0] * 4, lam=1.75)
     def test_scaling_law_property(self, nm, k, coords, lam):
         n, m = nm
         cfg = PointConfig(k, np.reshape(coords[: 4 * k], (2 * k, 2)))
