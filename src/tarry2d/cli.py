@@ -19,9 +19,11 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
+from pathlib import Path
 
 from . import lowerbound, poly, quad, theta, variety
-from .rng import philox_stream, uniform32
+from .rng import check_seed, philox_stream, uniform32
 
 DEFAULT_SEED = 20240001
 _NO_EFFECT = "accepted for uniformity with the other seeded commands; has no effect"
@@ -182,6 +184,7 @@ def _is_number(token: str) -> bool:
     return True
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="tarry2d",
@@ -291,16 +294,13 @@ def _as_values(argv):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = _parse(parser, _as_values(argv))
+        args = _parse(build_parser(), _as_values(argv))
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
-        philox_stream(getattr(args, "seed", 0))  # checks the seed, also for boxes, which draws nothing
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        check_seed(getattr(args, "seed", 0))  # also for boxes, which draws nothing
+        if args.output and (Path(args.output).is_dir() or not Path(args.output).parent.is_dir()):
+            raise ValueError(f"cannot write {args.output}: not a file in an existing directory")
         payload, table = args.fn(args)
         _emit(args, {"run": _run_config(args), **payload}, table)
     except (quad.PanelBudgetError, variety.HypothesisError) as exc:

@@ -20,6 +20,13 @@ def _check_degrees(n: int, m: int) -> None:
         raise ValueError(f"degrees must satisfy n >= 1, m >= 1; got ({n}, {m})")
 
 
+def as_int(value) -> int:
+    """An integral JSON number, 2.0 included, as an int; TypeError otherwise."""
+    if type(value) not in (int, float) or value % 1:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def monomial_indices(n: int, m: int) -> list[tuple[int, int]]:
     """All exponent pairs (i, j), 0<=i<=n, 0<=j<=m, i+j>0, in graded order."""
     _check_degrees(n, m)
@@ -137,12 +144,10 @@ class PolySpec:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PolySpec":
         try:
-            n = int(obj["n"])
-            m = int(obj["m"])
-            entries = obj.get("coeffs", [])
+            n, m = as_int(obj["n"]), as_int(obj["m"])
             coeffs = {}
-            for e in entries:
-                i, j, v = int(e["i"]), int(e["j"]), float(e["value"])
+            for e in obj.get("coeffs", []):
+                i, j, v = as_int(e["i"]), as_int(e["j"]), float(e["value"])
                 if (i, j) in coeffs:
                     raise ValueError(f"duplicate coefficient at ({i}, {j})")
                 coeffs[(i, j)] = v

@@ -24,11 +24,16 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+def check_seed(seed: int) -> None:
+    """ValueError for a seed outside [0, 2^64)."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def philox_stream(seed: int, *tags: int) -> np.random.Philox:
     """Bit generator of the (seed, tags...) stream; ValueError for a seed
     outside [0, 2^64) or a negative tag."""
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    check_seed(seed)
     mix = 0
     for t in tags:
         if t < 0:

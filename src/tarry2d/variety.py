@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parallel import map_blocks
-from .poly import monomial_count, monomial_indices
+from .poly import as_int, monomial_count, monomial_indices
 from .rng import philox_stream, summarize, uniform32
 
 SHELL_BLOCK = 1 << 16  # thin-shell draws per random stream; 4k rows of 512 kB
@@ -55,7 +55,7 @@ class PointConfig:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PointConfig":
         try:
-            return cls(int(obj["k"]), np.array(obj["points"], dtype=float))
+            return cls(as_int(obj["k"]), np.array(obj["points"], dtype=float))
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed configuration object: {exc}") from exc
 

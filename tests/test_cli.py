@@ -117,6 +117,30 @@ class TestDeterminism:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "--workers" in captured.err
 
+    def test_repeated_calls_match_a_fresh_parser(self, capsys, tmp_path, monkeypatch):
+        # main builds its parser once; no call may leave state in it for the next
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text("radii = 2 4 8\nsamples = 500\ntol = 1e-5\n")
+        theta_argv = ["theta", "1", "1", "1", "2", "--samples", "500"]
+        calls = [[*theta_argv, "--format", "csv"], theta_argv,
+                 ["diagnose", "1", "1", "1", "--config-file", "c.cfg"],
+                 [*theta_argv, "--seed", "-1"],
+                 ["diagnose", "1", "1", "1", "--samples", "500"]]
+
+        def run(argv):
+            code = cli.main(argv)
+            return code, *capsys.readouterr()
+
+        cli.build_parser.cache_clear()
+        reused = [run(argv) for argv in calls]
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh
+        assert [r[0] for r in reused] == [0, 0, 0, 2, 0]
+
     def test_floats_roundtrip_losslessly(self, capsys):
         _, out = run_cli(capsys, "theta", "1", "1", "1", "2.0",
                          "--samples", "5000")
@@ -554,6 +578,40 @@ class TestInputContract:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("input error: malformed")
 
+    @pytest.mark.parametrize("command, text", [
+        (["integral"], '{"n": 1.7, "m": 1, "coeffs": []}'),
+        (["integral"], '{"n": 1, "m": "1", "coeffs": []}'),
+        (["integral"], '{"n": 1, "m": 1, "coeffs": [{"i": true, "j": 0, "value": 1.0}]}'),
+        (["integral"], '{"n": 1, "m": 1, "coeffs": [{"i": 1, "j": 0.5, "value": 1.0}]}'),
+        (["gram", "--n", "1", "--m", "1"],
+         '{"k": 2.9, "points": [[0.1, 0.2], [0.3, 0.5], [0.7, 0.1], [0.4, 0.9]]}'),
+        (["gram", "--n", "1", "--m", "1"], '{"k": "1", "points": [[0.1, 0.2], [0.3, 0.5]]}'),
+        (["gram", "--n", "1", "--m", "1"], '{"k": true, "points": [[0.1, 0.2], [0.3, 0.5]]}'),
+    ])
+    def test_non_integer_field(self, capsys, tmp_path, command, text):
+        # a fraction, a string or a bool is rejected, not truncated by int()
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code = cli.main([command[0], str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("input error: malformed")
+
+    @pytest.mark.parametrize("command, ints, floats", [
+        (["integral"], '{"n": 1, "m": 2, "coeffs": [{"i": 1, "j": 2, "value": 1.0}]}',
+         '{"n": 1.0, "m": 2.0, "coeffs": [{"i": 1.0, "j": 2.0, "value": 1.0}]}'),
+        (["gram", "--n", "1", "--m", "1"], (DATA / "points_2_1.json").read_text(),
+         json.dumps({**json.loads((DATA / "points_2_1.json").read_text()), "k": 2.0})),
+    ])
+    def test_integral_float_field(self, capsys, tmp_path, command, ints, floats):
+        path = tmp_path / "in.json"
+        outs = []
+        for text in (ints, floats):
+            path.write_text(text)
+            outs.append(run_cli(capsys, command[0], str(path), *command[1:]))
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+
     @pytest.mark.parametrize("dest", ["absent/x.json", "."])
     def test_unwritable_output(self, capsys, tmp_path, monkeypatch, dest):
         # a missing directory, and a directory in place of a file
@@ -564,6 +622,29 @@ class TestInputContract:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"input error: cannot write {dest}:")
+
+    def test_unwritable_output_found_before_the_run(self, capsys, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("theta ran before --output was checked")
+        monkeypatch.setattr(cli.theta, "theta_truncated", never)
+        dest = str(tmp_path / "absent" / "x.json")
+        code = cli.main(["theta", "1", "1", "1", "20", "--samples", "200000", "--output", dest])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"input error: cannot write {dest}:")
+
+    def test_failed_run_keeps_existing_output(self, capsys, tmp_path, monkeypatch):
+        # the file is written only once the payload exists
+        def fail(*args, **kwargs):
+            raise ValueError("no estimate")
+        monkeypatch.setattr(cli.theta, "theta_truncated", fail)
+        dest = tmp_path / "x.json"
+        dest.write_text("kept\n")
+        code = cli.main(["theta", "1", "1", "1", "2", "--output", str(dest)])
+        assert code == 2
+        assert capsys.readouterr().err == "input error: no estimate\n"
+        assert dest.read_text() == "kept\n"
 
     def test_infinite_coefficient_in_polynomial_file(self, capsys, tmp_path):
         path = tmp_path / "inf.json"
