@@ -50,13 +50,14 @@ def _shell_bounds(R: float) -> list[tuple[float, float]]:
 
 
 def _check_radius(R: float, N: int) -> None:
-    """ValueError unless R > 0 and the box volume (2R)^N is a finite float."""
+    """ValueError unless R > 0 and the box volume (2R)^N is a positive finite
+    float: one that underflows to 0 would leave the shell allocation 0/0."""
     try:
-        finite = 0.0 < R and (2.0 * R) ** N < math.inf
+        finite = 0.0 < R and 0.0 < (2.0 * R) ** N < math.inf
     except OverflowError:
         finite = False
     if not finite:
-        raise ValueError(f"R must be positive with a finite box volume (2R)^{N}, got {R}")
+        raise ValueError(f"R must be positive with a box volume (2R)^{N} in (0, inf), got {R}")
 
 
 def _sample_shell(bitgen, a: float, b: float, N: int, size: int):

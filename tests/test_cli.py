@@ -478,12 +478,15 @@ class TestInputContract:
         # the box volume (2R)^N overflows a float
         ["theta", "1", "1", "1", "1e300", "--samples", "200"],
         ["diagnose", "1", "1", "1", "--radii", "2", "4", "1e300"],
+        # ... or underflows to 0, which would leave the shell allocation 0/0
+        ["theta", "1", "1", "1", "1e-110", "--samples", "1000"],
+        ["diagnose", "1", "1", "1", "--radii", "1e-300", "1e-299", "1e-298"],
         # the thin-shell normaliser (2h)^(2 - N) overflows a float
         ["thinshell", "1", "1", "2", "--h", "1e-320"],
         ["thinshell", "2", "2", "4", "--h", "1e-60", "--theta-form"],
         ["theta", "1"], ["nosuch"], ["theta", "1", "1", "1", "2", "--bogus"],
         ["theta", "1", "1", "1", "x"], ["boxes", "1", "1", "1", "--format", "xml"],
-        # scale 512 alone has 3.4e10 box pairs to check
+        # scale 512 alone has 262144 sweep rows
         ["boxes", "1", "1", "1", "--scales", "512"],
         ["boxes", "1", "1", "1", "--scales", "2", "300"],
     ])

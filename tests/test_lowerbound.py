@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tarry2d import lowerbound
@@ -152,6 +152,15 @@ class TestGradientMargin:
                 assert gradient_margin(n, m, k) < 0.0
 
 
+@st.composite
+def _dyadic_scales(draw, top=16):
+    """Increasing scales up to top, each at least double the last."""
+    scales = [draw(st.integers(1, top))]
+    while 2 * scales[-1] <= top and draw(st.booleans()):
+        scales.append(draw(st.integers(2 * scales[-1], top)))
+    return scales
+
+
 class TestDisjointness:
     def test_same_box_not_disjoint(self):
         a = box_bounds(1, 1, 1, 2, 1, 1)
@@ -181,6 +190,16 @@ class TestDisjointness:
         assert report.n_pairs == 20 * 19 // 2
         assert report.to_dict()["violations"] == []
 
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), k=st.integers(1, 4), scales=_dyadic_scales())
+    @example(n=1, m=1, k=1, scales=[4, 8])  # (1, 1) at P and 2P: the top intervals touch
+    def test_closed_form_matches_scalar_reference(self, n, m, k, scales):
+        boxes = [box_bounds(n, m, k, *c) for c in _centers(scales)]
+        assert all(boxes_disjoint(a, b) for a, b in itertools.combinations(boxes, 2))
+        report = disjointness_check(n, m, k, scales)
+        assert report.violations == []
+        assert report.n_pairs == len(boxes) * (len(boxes) - 1) // 2
+
     def test_non_dyadic_scales_rejected(self):
         with pytest.raises(ValueError):
             disjointness_check(1, 1, 1, [2, 3])
@@ -204,39 +223,6 @@ def _centers(scales):
 class TestBatchedSweep:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 3), m=st.integers(1, 3), k=st.integers(1, 4),
-           scales=st.lists(st.integers(1, 5), min_size=1, max_size=3))
-    def test_array_disjointness_matches_scalar(self, n, m, k, scales):
-        # any scales, repeats included, so overlapping boxes occur too
-        centers = _centers(scales)
-        P, nu, mu = np.array(centers).T
-        i, j = np.triu_indices(len(centers))
-        got = lowerbound._pairs_disjoint(n, m, k, P, nu, mu, i, j)
-        boxes = [box_bounds(n, m, k, *c) for c in centers]
-        assert got.tolist() == [boxes_disjoint(boxes[a], boxes[b]) for a, b in zip(i, j)]
-
-    @pytest.mark.parametrize("n,m,k,scales", [
-        (1, 1, 1, [1, 2, 4]), (2, 1, 2, [2, 4, 8, 16]), (2, 2, 3, [1, 2, 4]),
-    ])
-    def test_check_matches_scalar_loop(self, monkeypatch, n, m, k, scales):
-        # mark some pairs as overlapping to see the report name them in loop order
-        def marked(i, j):
-            return (i + j) % 13 == 0
-
-        real = lowerbound._pairs_disjoint
-        monkeypatch.setattr(lowerbound, "_pairs_disjoint",
-                            lambda *a: real(*a) & ~marked(a[-2], a[-1]))
-        report = disjointness_check(n, m, k, scales)
-        boxes = [box_bounds(n, m, k, *c) for c in _centers(scales)]
-        want = [(a, b) for a in range(len(boxes)) for b in range(a + 1, len(boxes))
-                if marked(a, b) or not boxes_disjoint(boxes[a], boxes[b])]
-        assert report.n_pairs == len(boxes) * (len(boxes) - 1) // 2
-        assert [(r1.P, r1.nu, r1.mu, r2.P, r2.nu, r2.mu) for r1, r2 in report.violations] == \
-            [(boxes[a].P, boxes[a].nu, boxes[a].mu, boxes[b].P, boxes[b].nu, boxes[b].mu)
-             for a, b in want]
-        assert want
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 3), m=st.integers(1, 3), k=st.integers(1, 4),
            P=st.sampled_from([1, 2, 4, 8]), data=st.data(),
            seed=st.integers(0, 2**32 - 1), size=st.integers(1, 150),
            scale=st.floats(1e-3, 1e3))
@@ -257,18 +243,14 @@ class TestBatchedSweep:
         assert got.tolist() == want
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 4), m=st.integers(1, 3), k=st.integers(1, 4),
-           first=st.integers(1, 16), data=st.data())
-    def test_sweep_rows_are_volume_and_gradient_margin(self, n, m, k, first, data):
-        scales = [first]
-        while 2 * scales[-1] <= 16 and data.draw(st.booleans()):
-            scales.append(data.draw(st.integers(2 * scales[-1], 16)))
+    @given(n=st.integers(1, 4), m=st.integers(1, 3), k=st.integers(1, 4), scales=_dyadic_scales())
+    def test_sweep_rows_are_volume_and_gradient_margin(self, n, m, k, scales):
         want = [{"P": P, "nu": nu, "mu": mu, "volume": box_volume(box_bounds(n, m, k, P, nu, mu)),
                  "margin_max": gradient_margin(n, m, k)} for P, nu, mu in _centers(scales)]
         assert lowerbound.box_sweep(n, m, k, scales) == want
 
     def test_sweep_scale_cap(self):
-        # 2.1e9 box pairs at scale 256 alone, 3.4e10 at 512
+        # P^2 sweep rows a scale: 65536 at 256, 12 MB of JSON at scales 2..256
         sweep = lowerbound.box_sweep(1, 1, 1, [256])
         assert [(s["P"], s["nu"], s["mu"]) for s in sweep] == _centers([256])
         for check in (lambda scales: lowerbound.box_sweep(1, 1, 1, scales),
