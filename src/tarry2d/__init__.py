@@ -38,10 +38,8 @@ from .lowerbound import (
     box_volume,
     c_constant,
     disjointness_check,
-    divergence_partial_sum,
     e_set_margin,
     gradient_margin,
-    shell_series_term,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

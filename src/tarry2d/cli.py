@@ -10,7 +10,7 @@ prints as 2.0), so round-trips are lossless; reruns with identical flags
 produce byte-identical output, for any --workers value.
 
 Exit codes: 0 success, 1 computational failure (budget exceeded, hypothesis
-violation), 2 input error.
+violation), 2 input error, a result that is not finite among them.
 """
 
 from __future__ import annotations
@@ -32,14 +32,18 @@ _NO_EFFECT = "accepted for uniformity with the other seeded commands; has no eff
 def _emit(args, payload: dict, table) -> None:
     """Write the payload as JSON or, with --format csv, the table: a list of
     rows as dicts, whose first row's scalar keys are the header (theta's
-    per-shell list stays in the JSON)."""
-    if getattr(args, "format", "json") == "csv":
-        table = [{k: v for k, v in row.items() if not isinstance(v, list)} for row in table]
-        lines = [",".join(table[0])]
-        lines += [",".join(json.dumps(c) for c in row.values()) for row in table]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
+    per-shell list stays in the JSON).  JSON has no NaN or infinity: either is
+    a ValueError."""
+    try:
+        if getattr(args, "format", "json") == "csv":
+            table = [{k: v for k, v in row.items() if not isinstance(v, list)} for row in table]
+            lines = [",".join(table[0])]
+            lines += [",".join(json.dumps(c, allow_nan=False) for c in row.values()) for row in table]
+            text = "\n".join(lines) + "\n"
+        else:
+            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"a result is not finite: {exc}") from exc
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -144,7 +148,7 @@ def cmd_thinshell(args):
 def cmd_boxes(args):
     sweep = lowerbound.box_sweep(args.n, args.m, args.k, args.scales)
     report = lowerbound.disjointness_check(args.n, args.m, args.k, args.scales)
-    return {"disjointness": report.to_dict(), "sweep": sweep}, sweep
+    return {"disjointness": asdict(report), "sweep": sweep}, sweep
 
 
 def cmd_diagnose(args):

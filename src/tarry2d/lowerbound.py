@@ -4,31 +4,25 @@ Boxes live in recentered coefficients (beta) at grid centers (nu/P, mu/P):
 every index except the top one is confined to a small symmetric interval,
 while the top coefficient sits in [c P^(n+m-1)/2, c P^(n+m-1)].  Any phase
 drawn from a box has gradient norm at most 1/sqrt(2k) on the grid square
-below its center, boxes at distinct centers or distinct dyadic scales are
-pairwise disjoint in original coefficients, and the box volumes produce the
-dyadic series whose exponent sign decides divergence.  Both facts have closed
-forms: disjointness_check certifies the disjointness of every pair of boxes,
+below its center, and boxes at distinct centers or distinct dyadic scales are
+pairwise disjoint in original coefficients.  Both facts have closed forms:
+disjointness_check certifies the disjointness of every pair of boxes, and
 gradient_margin is the exact margin of the gradient bound, one number for
-every box, and box_sweep reports it with each box's volume.
+every box, which box_sweep reports with each box's volume.  e_set_margin
+and boxes_disjoint are their references for one phase and one pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import (
-    PolySpec,
-    beta_to_alpha,
-    critical_threshold,
-    monomial_count,
-    monomial_indices,
-)
+from .poly import PolySpec, beta_to_alpha, monomial_count, monomial_indices
 from .rng import uniform32
 
-_MARGIN_GRID = 32  # sample points per side of the square in e_set_margins
+_MARGIN_GRID = 32  # grid points per side of the square in e_set_margin
 _MAX_SCALE = 256  # largest scale: P^2 sweep rows a scale, 87380 rows (12 MB of JSON) at 2..256
 
 
@@ -90,13 +84,14 @@ class BoxRegion:
 
 def box_bounds(n: int, m: int, k: int, P: int, nu: int, mu: int) -> BoxRegion:
     """Interval bounds of the box at dyadic scale P and center (nu/P, mu/P)."""
-    if P < 1:
-        raise ValueError("P must be >= 1")
     if not (1 <= nu <= P and 1 <= mu <= P):
         raise ValueError(f"center indices must lie in 1..{P}, got ({nu}, {mu})")
     c = c_constant(n, m, k)
     idx = monomial_indices(n, m)
-    upper = np.array([0.1 * c * P ** (i + j - 1) for i, j in idx])
+    try:
+        upper = np.array([0.1 * c * P ** (i + j - 1) for i, j in idx])
+    except OverflowError:  # P^(i+j-1) beyond the largest float
+        raise ValueError(f"box bounds of degrees ({n}, {m}) at scale {P} overflow a float") from None
     lower = -upper
     top = idx.index((n, m))
     lower[top], upper[top] = 0.5 * c * P ** (n + m - 1), c * P ** (n + m - 1)
@@ -104,21 +99,17 @@ def box_bounds(n: int, m: int, k: int, P: int, nu: int, mu: int) -> BoxRegion:
 
 
 def box_volume(region: BoxRegion) -> float:
-    """Exact product of the interval lengths."""
-    return float(np.prod(region.upper - region.lower))
+    """Exact product of the interval lengths; ValueError unless it is in (0, inf)."""
+    with np.errstate(over="ignore"):  # an overflow is the ValueError below
+        volume = float(np.prod(region.upper - region.lower))
+    if not 0.0 < volume < math.inf:
+        raise ValueError(f"box volume at scale {region.P} is {volume}, outside (0, inf)")
+    return volume
 
 
 def box_volume_exponent(n: int, m: int) -> int:
     """Power of P in the box volume: (n+m)(n+1)(m+1)/2 - N."""
     return (n + m) * (n + 1) * (m + 1) // 2 - monomial_count(n, m)
-
-
-def shell_series_term(n: int, m: int, k: int, l: int) -> float:
-    """Term 2^(l e) of the dyadic lower-bound series, e = -4k + critical threshold."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    e = critical_threshold(n, m) - 4 * k
-    return 2.0 ** (l * e)
 
 
 def sample_box(region: BoxRegion, bitgen, size: int) -> np.ndarray:
@@ -136,46 +127,16 @@ def box_to_alpha(region: BoxRegion, beta: np.ndarray) -> np.ndarray:
     return beta_to_alpha(region.n, region.m, *region.center, beta)
 
 
-def _horner_grid(C: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """sum C[i, j, r] x^i y^j at each (xs[a], ys[b]), by polyval2d's steps:
-    Horner in x, then in y.  The b axis has length 1 if j is 0 only."""
-    acc = C[-1][..., None] + 0.0 * xs
-    for c in C[-2::-1]:
-        acc = acc * xs + c[..., None]
-    out = acc[-1][..., None]
-    for c in acc[-2::-1]:
-        out = out * ys
-        out += c[..., None]
-    return out
-
-
-def e_set_margins(n: int, m: int, alphas: np.ndarray, k: int, square) -> np.ndarray:
-    """Max of |grad F|^2 - 1/(2k) on a sample grid over the square below (u1, u2),
-    for each phase F of degrees (n, m) given by a row of alphas (graded order).
-
-    The square (u1, u2, P) is [u1 - 1/P, u1] x [u2 - 1/P, u2] cut to the unit
-    square; a nonpositive margin certifies (to grid resolution) that it lies
-    in the small-gradient set.  Each grid value takes PolySpec.grad's Horner
-    steps at its point, so a row's margin does not depend on the rest of the
-    batch.  All rows are evaluated at once, 8 KB of grid values a row.
-    """
-    alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
+def e_set_margin(F: PolySpec, k: int, square: tuple[float, float, int]) -> float:
+    """Max of |grad F|^2 - 1/(2k) on a grid over the square (u1, u2, P), [u1 - 1/P, u1] x
+    [u2 - 1/P, u2] cut to the unit square: at most 0 if it is in the small-gradient set."""
     u1, u2, P = square
     sides = [(max(u - 1.0 / P, 0.0), min(u, 1.0)) for u in (u1, u2)]
     if any(lo >= hi for lo, hi in sides):
         raise ValueError("square does not intersect the unit square")
-    xs, ys = (np.linspace(lo, hi, _MARGIN_GRID) for lo, hi in sides)
-    C = np.zeros((n + 1, m + 1, alphas.shape[0]))
-    C[tuple(np.array(monomial_indices(n, m)).T)] = alphas.T
-    fx = _horner_grid(C[1:] * np.arange(1, n + 1)[:, None, None], xs, ys)
-    fx *= fx  # in place, so the squares and their sum add no (rows, grid, grid) temporaries
-    fx += _horner_grid(C[:, 1:] * np.arange(1, m + 1)[None, :, None], xs, ys) ** 2
-    return np.max(fx, axis=(1, 2)) - 1.0 / (2.0 * k)
-
-
-def e_set_margin(F: PolySpec, k: int, square: tuple[float, float, int]) -> float:
-    """e_set_margins for the single phase F."""
-    return float(e_set_margins(F.n, F.m, F.coeff_vector(), k, square)[0])
+    X, Y = np.meshgrid(*(np.linspace(lo, hi, _MARGIN_GRID) for lo, hi in sides), indexing="ij")
+    fx, fy = F.grad(X, Y)
+    return float(np.max(fx * fx + fy * fy) - 1.0 / (2.0 * k))
 
 
 def box_sweep(n: int, m: int, k: int, scales) -> list[dict]:
@@ -228,9 +189,6 @@ class DisjointnessReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _centers(scales) -> tuple[list[int], list[tuple[int, int, int]]]:
     """The scales in increasing order, each at least 1 and double the last, and
@@ -264,9 +222,3 @@ def disjointness_check(n: int, m: int, k: int, scales) -> DisjointnessReport:
     n_pairs = len(centers) * (len(centers) - 1) // 2
     return DisjointnessReport(n, m, k, scales, n_pairs, [])
 
-
-def divergence_partial_sum(n: int, m: int, k: int, L: int) -> float:
-    """Partial sum of the dyadic series over l = 1..L (empty sum for L = 0)."""
-    if L < 0:
-        raise ValueError("L must be >= 0")
-    return float(sum(shell_series_term(n, m, k, l) for l in range(1, L + 1)))

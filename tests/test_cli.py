@@ -489,6 +489,9 @@ class TestInputContract:
         # scale 512 alone has 262144 sweep rows
         ["boxes", "1", "1", "1", "--scales", "512"],
         ["boxes", "1", "1", "1", "--scales", "2", "300"],
+        # the box volume overflows a float, or underflows to 0
+        ["boxes", "200", "1", "1", "--scales", "2"],
+        ["boxes", "30", "30", "1", "--scales", "2"],
     ])
     def test_one_line_exit_2(self, capsys, argv):
         code = cli.main(argv)
@@ -648,6 +651,23 @@ class TestInputContract:
         assert code == 2
         assert capsys.readouterr().err == "input error: no estimate\n"
         assert dest.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["gram", "big.json", "--n", "2", "--m", "1"],
+        ["diagnose", "1", "1", "100000", "--radii", "2", "4", "8", "--samples", "300"],
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_result_not_finite(self, capsys, tmp_path, monkeypatch, argv):
+        # JSON has no NaN or Infinity: G0 of points near 1e200 is NaN, and at
+        # k = 100000 every estimate is 0, so the fitted exponent is NaN
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.json").write_text(json.dumps(
+            {"k": 2, "points": [[1e200, 0], [0, 1e200], [2e200, 1e200], [1e200, 3e200]]}))
+        code = cli.main(argv + ["--output", "x.json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.count("\n") == 1 and "not finite" in captured.err
+        assert not (tmp_path / "x.json").exists()
 
     def test_infinite_coefficient_in_polynomial_file(self, capsys, tmp_path):
         path = tmp_path / "inf.json"

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tarry2d import quad
-from tarry2d.lowerbound import shell_series_term
 from tarry2d.poly import monomial_count
 from tarry2d.rng import philox_stream
 from tarry2d.theta import (
@@ -313,21 +312,6 @@ class TestParseval:
         plus, minus = parseval_check(gamma, R, tol), parseval_check(-gamma, R, tol)
         assert abs(plus.value - minus.value) <= 2 * tol
         assert (plus.x_rule, plus.b_rule) == (minus.x_rule, minus.b_rule)
-
-
-class TestSeries:
-    def test_divergent_terms(self):
-        # (1,1), k=1: exponent 6 - 4 = 2, terms 4^l
-        assert shell_series_term(1, 1, 1, 1) == 4.0
-        assert shell_series_term(1, 1, 1, 3) == 64.0
-
-    def test_convergent_terms(self):
-        # (1,1), k=2: exponent 6 - 8 = -2
-        assert shell_series_term(1, 1, 2, 2) == pytest.approx(1 / 16)
-
-    def test_bad_l(self):
-        with pytest.raises(ValueError):
-            shell_series_term(1, 1, 1, 0)
 
 
 class TestGrowthDiagnostic:
