@@ -32,16 +32,15 @@ _NO_EFFECT = "accepted for uniformity with the other seeded commands; has no eff
 def _emit(args, payload: dict, table) -> None:
     """Write the payload as JSON or, with --format csv, the table: a list of
     rows as dicts, whose first row's scalar keys are the header (theta's
-    per-shell list stays in the JSON).  JSON has no NaN or infinity: either is
-    a ValueError."""
+    per-shell list stays in the JSON).  JSON has no NaN or infinity: either,
+    anywhere in the payload, is a ValueError in both formats."""
     try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         if getattr(args, "format", "json") == "csv":
             table = [{k: v for k, v in row.items() if not isinstance(v, list)} for row in table]
             lines = [",".join(table[0])]
             lines += [",".join(json.dumps(c, allow_nan=False) for c in row.values()) for row in table]
             text = "\n".join(lines) + "\n"
-        else:
-            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise ValueError(f"a result is not finite: {exc}") from exc
     if args.output:

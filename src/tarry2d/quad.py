@@ -15,6 +15,7 @@ E(qy, My; Vy, m), Vx = sum i |a_ij|, Vy = sum j |a_ij|, each sized at tol / 2.
 One driver, _batch_J, takes a batch of rows of any (n, m) through these
 rules: batch_osc_m1 is the driver at m = 1, osc_integral on one row.  A rule
 beyond the MAX_NODES budget raises PanelBudgetError before any node is built.
+The kernels work in views of a per-thread pool (_work): no call allocates its work arrays.
 Every cos and sin is formed by _cos_sin from tan(pi p) at a phase p in cycles
 reduced by rint, within 4.5e-16 of the exact value: float64 round-off, as libm's.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,7 @@ ORDERS = (8, 12, 16, 24, 32)  # Gauss-Legendre orders a rule may take
 # Nodes per batch_osc_m1 task and tensor-rule chunk: work arrays stay in a 2 MB L2.
 CHUNK_NODES = 1 << 16
 MAX_NODES = 1 << 26  # node budget of one J, and of each direction of the tensor rule
+_local = threading.local()  # each thread's kernel work pool, made on first use
 
 # Bernstein ellipse parameters for the error bound (see _log_bound):
 # b = (rho - 1/rho) / 2 and, per order q (rows), log of rho^(2q - 2) (rho^2 - 1) 15/32
@@ -122,9 +125,10 @@ def _size(V, n: int, tol: float):
     """(q, M) per variation in V: the fewest nodes q M, q in ORDERS, whose
     bound _log_bound(q, M, V, n) is at most tol (ties to the lower order).
 
-    The bound is linear in V at fixed rho, and M panels hold V up to M c_q
-    at r = 1, so M = ceil(V / c_q): exact for n = 1, and for n > 1 a lower
-    limit that rows short of tol step up one panel at a time.  ValueError if
+    The bound is linear in V at fixed rho, and M panels hold V up to M c_q at
+    r = 1, so M = ceil(V / c_q): exact for n = 1, and for n > 1 a lower limit
+    that rows short of tol, unless already beaten by an order taken before,
+    step up one panel at a time (V sorted once, no sort a step).  ValueError if
     tol is beyond every order's reach; PanelBudgetError if a V needs over
     MAX_NODES nodes at every order, checked before any product V overflows.
     """
@@ -133,34 +137,48 @@ def _size(V, n: int, tol: float):
     c = np.max(slack / _rate(1, 1), axis=1)  # c_q
     if c[-1] <= 0.0:
         raise ValueError(f"tol {tol} is below the reach of the error bound")
-    q = np.array(ORDERS)[:, None]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        M = np.maximum(np.ceil(V / c[:, None]), 1.0)  # orders x rows
-    for o in np.flatnonzero(c > 0.0) if n > 1 else ():
-        live = np.flatnonzero(M[o] <= MAX_NODES // q[o])
-        while live.size:  # rows still short of tol take one more panel
-            Ms, at = np.unique(M[o, live], return_inverse=True)
-            live = live[V[live] > np.max(slack[o] / _rate(Ms, n), axis=1)[at]]
-            M[o, live] += 1.0
-    M[~((M <= MAX_NODES // q) & (c[:, None] > 0.0))] = np.inf  # over budget, nan V, or out of reach
-    best = np.argmin(q * M, axis=0)  # fewest nodes; ties to the lower order
-    M = M[best, np.arange(V.size)]
-    if not np.all(np.isfinite(M)):
+    by_V = np.argsort(V) if n > 1 else slice(None)  # M0 is monotone in V, and stays so
+    Vs, key, top = V[by_V], np.full(V.size, np.inf), 8 * MAX_NODES + 8  # key: min of 8 q M + order
+    with np.errstate(over="ignore"):  # a V past 1e300 fails the budget check below
+        for o in np.flatnonzero(c > 0.0)[::-1]:  # the highest order first, whose keys prune most
+            M = np.maximum(np.ceil(Vs / c[o]), 1.0)
+            live = np.flatnonzero(M * (8 * ORDERS[o]) + o < np.minimum(key, top)) if n > 1 else ()
+            while len(live):  # rows short of tol that may still win take one more panel
+                run = np.flatnonzero(np.diff(M[live], prepend=0.0))  # first row of each M
+                cap = np.max(slack[o] / _rate(M[live[run]], n), axis=1)
+                live = live[Vs[live] > np.repeat(cap, np.diff(run, append=len(live)))]
+                M[live] += 1.0
+            np.minimum(key, M * (8 * ORDERS[o]) + o, out=key)  # stays nan for a nan V
+    key[by_V] = key.copy()
+    if not np.all(key < top):  # key < top iff q M <= MAX_NODES, iff M <= MAX_NODES // q
         raise PanelBudgetError(
             f"phase too large for tolerance {tol}: variation "
-            f"{np.max(V[~np.isfinite(M)]):.3g} needs over {MAX_NODES} nodes")
-    return q[best, 0], M.astype(np.int64)
+            f"{np.max(V[~(key < top)]):.3g} needs over {MAX_NODES} nodes")
+    q = np.array(ORDERS)[key.astype(np.int64) & 7]
+    return q, key.astype(np.int64) // (8 * q)
 
 
-def _cos_sin(p: np.ndarray, c: np.ndarray, s: np.ndarray):
-    """cos 2 pi p and sin 2 pi p into c and s (s may be p), p in cycles reduced by rint to
-    [-1/2, 1/2], from t = tan(pi p) (one vectorised loop, unlike libm's sin and cos) as
+def _work(shape, count: int) -> list:
+    """count float arrays of shape, views 64 bytes apart in this thread's pool; one request
+    of over four arrays of 2 CHUNK_NODES floats (a huge row's) gets fresh arrays instead."""
+    size, step = math.prod(shape), -(-math.prod(shape) // 8) * 8
+    pool = getattr(_local, "pool", None)
+    if pool is None or pool.size < count * step:
+        pool = np.empty(count * step)
+        if pool.size <= 8 * CHUNK_NODES:  # a task: CHUNK_NODES plus one row's nodes
+            _local.pool = pool
+    return [pool[k * step : k * step + size].reshape(shape) for k in range(count)]
+
+
+def _cos_sin(p: np.ndarray, c: np.ndarray, s: np.ndarray, d: np.ndarray | None = None):
+    """cos 2 pi p and sin 2 pi p into c (unless None) and s (may be p; d takes t^2), p in cycles
+    reduced by rint to [-1/2, 1/2], from t = tan(pi p) (one vectorised loop, unlike libm's) as
     (1 - t^2) / (1 + t^2) and 2t / (1 + t^2): within 4.5e-16, cos even and sin odd bitwise."""
     t = np.tan(np.multiply(p, np.pi, out=s), out=s)
-    d = np.square(t)
-    np.subtract(1.0, d, out=c)
+    d = np.square(t, out=d)
+    c = c if c is None else np.subtract(1.0, d, out=c)
     d += 1.0
-    return np.divide(c, d, out=c), np.divide(np.add(t, t, out=t), d, out=t)
+    return c if c is None else np.divide(c, d, out=c), np.divide(np.add(t, t, out=t), d, out=t)
 
 
 def _m1_tables(n: int, q: int, M: int):
@@ -171,24 +189,21 @@ def _m1_tables(n: int, q: int, M: int):
 
 
 def _kernel(rows: np.ndarray, xa, xb, wts) -> np.ndarray:
-    """J of rows on one rule, in five rows x nodes work arrays: exp(2 pi i A) int_0^1
-    exp(2 pi i B y) dy = e^{2 pi i (A + B/2)} sin(pi B) / (pi B), with A + B/2 and
+    """J of rows on one rule, in four rows x nodes work arrays of the pool: exp(2 pi i A)
+    int_0^1 exp(2 pi i B y) dy = e^{2 pi i (A + B/2)} sin(pi B) / (pi B), with A + B/2 and
     r = B/2 reduced by rint and their cos and sin from _cos_sin (sin(pi B) = sin 2 pi r),
     each within 4.5e-16 of the exact value; odd, so J(-F) = conj J(F) bitwise."""
-    half_b = rows @ xb
-    phase = rows @ xa
-    phase += half_b
-    work = np.rint(phase)
-    phase -= work
-    np.rint(half_b, out=work)
-    np.subtract(half_b, work, out=work)
-    cos, sinc = _cos_sin(work, np.empty_like(work), work)  # cos 2 pi r unused: a buffer
+    half_b, phase, work, sq = _work((len(rows), wts.size), 4)
+    np.matmul(rows, xb, out=half_b)
+    np.add(np.matmul(rows, xa, out=phase), half_b, out=phase)
+    phase -= np.rint(phase, out=work)
+    np.subtract(half_b, np.rint(half_b, out=work), out=work)
+    _, sinc = _cos_sin(work, None, work, sq)
     pi_b = np.multiply(half_b, 2.0 * np.pi, out=half_b)
     zero = pi_b == 0.0
-    pi_b[zero] = 1.0
-    sinc[zero] = 1.0
+    pi_b[zero], sinc[zero] = 1.0, 1.0
     sinc /= pi_b
-    cos, sin = _cos_sin(phase, cos, phase)
+    cos, sin = _cos_sin(phase, half_b, phase, sq)  # pi B is spent: its array takes cos
     cos *= sinc
     sin *= sinc
     return cos @ wts + 1j * (sin @ wts)
@@ -197,7 +212,7 @@ def _kernel(rows: np.ndarray, xa, xb, wts) -> np.ndarray:
 def _tensor_kernel(n: int, m: int, rows: np.ndarray, qx: int, Mx: int, qy: int, My: int):
     """J of (n, m) rows on the (qx Mx) x (qy My) tensor rule, wx^T exp(2 pi i Px^T C Py) wy
     per row, the phase reduced by rint (odd, so J(-F) = conj J(F) bitwise) and x cut
-    into chunks of about CHUNK_NODES nodes when the rows hold more."""
+    into chunks of about CHUNK_NODES nodes when the rows hold more, in three pool arrays."""
     (x, wx), (y, wy) = _panel_nodes(Mx, *_gauss(qx)), _panel_nodes(My, *_gauss(qy))
     i, j = np.array(monomial_indices(n, m)).T
     C = np.zeros((len(rows), n + 1, m + 1))
@@ -206,10 +221,10 @@ def _tensor_kernel(n: int, m: int, rows: np.ndarray, qx: int, Mx: int, qy: int, 
     step = max(1, CHUNK_NODES // (len(rows) * y.size))
     re, im = np.zeros(len(rows)), np.zeros(len(rows))
     for lo in range(0, x.size, step):
-        phase = x[lo : lo + step, None] ** np.arange(n + 1) @ CPy  # rows x chunk x y nodes
-        work = np.rint(phase)
-        phase -= work
-        cos, sin = _cos_sin(phase, work, phase)
+        phase, work, sq = _work((len(rows), len(x[lo : lo + step]), y.size), 3)
+        np.matmul(x[lo : lo + step, None] ** np.arange(n + 1), CPy, out=phase)  # rows x chunk x y
+        phase -= np.rint(phase, out=work)
+        cos, sin = _cos_sin(phase, work, phase, sq)
         re += cos @ wy @ wx[lo : lo + step]
         im += sin @ wy @ wx[lo : lo + step]
     return re + 1j * im

@@ -156,6 +156,7 @@ def jacobi_A0(config: PointConfig, n: int, m: int) -> np.ndarray:
     return D * np.repeat(config.signs, 2)
 
 
+@np.errstate(all="ignore")  # points too large give inf or nan, which callers check
 def gram_G0(config: PointConfig, n: int, m: int) -> float:
     """Gram determinant det(A0 A0^T) of the residual gradients."""
     pts = config.points

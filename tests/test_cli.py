@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -668,6 +669,32 @@ class TestInputContract:
         assert code == 2
         assert captured.err.count("\n") == 1 and "not finite" in captured.err
         assert not (tmp_path / "x.json").exists()
+
+    def test_csv_rests_on_a_finite_payload(self, capsys):
+        # the CSV table holds the per-radius estimates, all 0.0 at k = 100000; the fitted
+        # exponent they give is NaN, so CSV exits 2 as JSON does
+        argv = ["diagnose", "1", "1", "100000", "--radii", "2", "4", "8", "--samples", "300"]
+        for form in ([], ["--format", "csv"]):
+            code = cli.main(argv + form)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith("input error: a result is not finite")
+
+    def test_gram_overflow_prints_no_warnings(self, capsys, tmp_path):
+        # points near 1e200 overflow the Gram matrix; stderr holds only the one-line error
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"k": 2, "points": [[1e200, 0], [0, 1e200], [2e200, 1e200], [1e200, 3e200]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["gram", str(path), "--n", "2", "--m", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("input error: a result is not finite")
 
     def test_infinite_coefficient_in_polynomial_file(self, capsys, tmp_path):
         path = tmp_path / "inf.json"

@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -105,6 +108,26 @@ def tensor_rows(rng, n, m, V_max, count):
     idx = np.array(monomial_indices(n, m))
     rows = rng.uniform(-1.0, 1.0, (count, len(idx)))
     return rows * (np.linspace(0.0, V_max, count) / (np.abs(rows) @ idx.sum(axis=1)))[:, None]
+
+
+def reference_size(V, n, tol):
+    """(q, M) of one variation V by the rule stated in quad._size, or None past the budget.
+
+    Each order q with c_q > 0 starts at ceil(V / c_q) panels and adds one panel at a time
+    until V <= max over rho of slack / _rate(M, n); the fewest nodes q M win, ties to the
+    lower order, and an order whose M passes MAX_NODES // q takes no part."""
+    slack = math.log(tol) + quad._RHO_LOG_DECAY
+    c = np.max(slack / quad._rate(1, 1), axis=1)
+    best = None
+    for o, q in enumerate(quad.ORDERS):
+        if c[o] <= 0.0:
+            continue
+        M = max(math.ceil(V / c[o]), 1)
+        while M <= quad.MAX_NODES // q and V > np.max(slack[o] / quad._rate(M, n)):
+            M += 1
+        if M <= quad.MAX_NODES // q and (best is None or q * M < best[0] * best[1]):
+            best = (q, M)
+    return best
 
 
 def with_y_coeffs(n, rows, values):
@@ -370,6 +393,55 @@ class TestBatch:
         assert len(peak) >= rules and max(peak) == 1
 
 
+class TestWorkPool:
+    def test_values_do_not_depend_on_earlier_work(self):
+        # the kernels' per-thread work arrays carry nothing from one batch to the next
+        rng = np.random.default_rng(80)
+        rows = rows_spanning_variation(rng, 2, 400.0, 600)
+        assert_spans_orders_and_tasks(2, rows, 1e-8)
+        fresh = {}
+        thread = threading.Thread(target=lambda: fresh.setdefault("J", batch_osc_m1(2, rows)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        got = [fresh["J"]]
+        batch_osc_m1(1, rows_spanning_variation(rng, 1, 3000.0, 3000))  # a larger m = 1 batch
+        got.append(batch_osc_m1(2, rows))
+        quad._batch_J(2, 2, tensor_rows(rng, 2, 2, 60.0, 40), 1e-8)  # a tensor-rule batch
+        got.append(batch_osc_m1(2, rows))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads swap often: a shared array would mix their values
+        try:
+            got += [batch_osc_m1(2, rows, workers=workers) for workers in (1, 2, 4)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(J.tobytes() == got[0].tobytes() for J in got)
+
+    def test_single_huge_row_keeps_no_arrays(self, monkeypatch):
+        # one row on a rule near the node budget (lowered to 2^19 here) takes arrays
+        # beyond the pool's size, and they go when its call returns
+        budget = 1 << 19
+        V = np.linspace(1e4, 3e5, 4000)
+        q, M = quad._size(V, 1, 1e-8)
+        at = np.flatnonzero(q * M <= budget)[-1]
+        nodes = int(q[at] * M[at])
+        assert nodes > max(budget // 2, 2 * quad.CHUNK_NODES)  # a pool holds four of 2 CHUNK_NODES
+        monkeypatch.setattr(quad, "MAX_NODES", budget)
+        row = np.array([[0.0, V[at], 0.0]])  # F = V x
+        batch_osc_m1(1, rows_spanning_variation(np.random.default_rng(81), 1, 400.0, 300))
+        tracemalloc.start()
+        try:
+            got = batch_osc_m1(1, row)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak >= 4 * 8 * nodes
+        assert held < 8 * nodes
+        with mpmath.workdps(30):
+            v = mpmath.mpf(float(V[at]))
+            assert abs(got[0] - complex((mpmath.expjpi(2 * v) - 1) / (2j * mpmath.pi * v))) <= 1e-8
+
+
 def assert_spans_orders_and_tasks(n, rows, tol):
     # the rows take at least three Gauss orders and fill at least three tasks
     q, M = quad._size(np.abs(rows) @ [i for i, _ in monomial_indices(n, 1)], n, tol)
@@ -514,6 +586,22 @@ class TestBatchRule:
             old_nodes = 12 * (np.maximum(2, np.ceil(V / 0.5)) + 2)
             q, M = quad._size(V, n, 1e-6)
             assert np.all(q * M < old_nodes / 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 3), tol_exp=st.floats(3.0, 12.0), lo_exp=st.floats(-3.0, 3.0),
+           u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40), zero=st.booleans())
+    def test_size_matches_scalar_reference(self, n, tol_exp, lo_exp, u, zero):
+        # variations spread over up to 4 decades from 10^lo_exp, and V = 0; past the
+        # budget (lo_exp near 3) every row of the call fails together
+        V = np.array(([0.0] if zero else []) + [10.0 ** (lo_exp + 4.0 * t) for t in u])
+        tol = 10.0**-tol_exp
+        want = [reference_size(v, n, tol) for v in V]
+        if None in want:
+            with pytest.raises(PanelBudgetError):
+                quad._size(V, n, tol)
+        else:
+            q, M = quad._size(V, n, tol)
+            assert list(zip(q.tolist(), M.tolist())) == want
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("q", quad.ORDERS)
