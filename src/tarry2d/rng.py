@@ -5,8 +5,9 @@ bit generator: Philox keyed by the seed and tags led by a purpose tag, a
 stream independent of the others (Salmon et al., SC 2011) and of the worker
 count.  R is the IEEE-754 bit pattern of theta's float64 radius:
 
-    0 ellipsoid (0,)         2 theta pilot (2, R, shell)         4 retired (boxes draws)
-    1 thin shell (1, block)  3 theta main (3, R, shell, block)   5 gram (5,)
+    0 ellipsoid (0,)         2 theta pilot (2, R, shell)    4 retired (boxes draws)
+    1 thin shell (1, block)  3 retired (theta main draws)   5 gram (5,)
+    6 theta lattice shifts (6, R, shell)
 
 A retired tag is not reused.  uniform32 maps raw words to floats, two 2^-32
 uniforms per word; a draw on [lo, hi) is lo + (hi - lo) u.  numpy fixes raw

@@ -1,26 +1,28 @@
 """Coefficient-space estimates of the truncated modulus-power integral.
 
 theta_truncated integrates |J(alpha)|^(2k) over the max-norm box [-R, R]^N
-by stratified Monte Carlo over dyadic shells of the max norm, with a pilot
-pass steering the per-shell sample allocation.  parseval_check evaluates the
-two-coefficient marginal mass by one a-priori sized quadrature, and
-growth_diagnostic fits the growth of the truncated integral against the
-radius from theta_truncated at each radius with the caller's seed.
+by randomly shifted lattice rules on dyadic shells of the max norm, with a
+Monte Carlo pilot pass steering the per-shell allocation.  parseval_check
+evaluates the two-coefficient marginal mass by one a-priori sized
+quadrature, and growth_diagnostic fits the growth of the truncated integral
+against the radius from theta_truncated at each radius with the caller's seed.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import quad
-from .poly import critical_threshold, monomial_count
+from .poly import critical_threshold, monomial_count, monomial_indices
 from .rng import philox_stream, summarize, uniform32
 
-_BLOCK = 1 << 13  # main draws per stream
-_CALL_BLOCKS = 8  # blocks per J call: at most 2^16 rows
+_SHIFTS = 16  # random shifts of each shell's lattice rule
+_CALL_ROWS = 1 << 16  # J rows per call at most
 
 
 @dataclass
@@ -32,7 +34,7 @@ class ThetaEstimate:
     value: float
     std_error: float
     n_samples: int
-    shells: list  # per shell: lo, hi, alloc (main draws), mean, std_error, ess of |J|^(2k)
+    shells: list  # per shell: lo, hi, alloc (main samples), mean, std_error, ess of |J|^(2k)
     seed: int
 
 
@@ -72,6 +74,51 @@ def _sample_shell(bitgen, a: float, b: float, N: int, size: int):
     return pts
 
 
+@functools.lru_cache(maxsize=128)
+def _lattice(P: int, gamma: tuple) -> np.ndarray:
+    """Generating vector z of a P-point rank-1 lattice rule, P prime, by fast
+    component-by-component search (Nuyens & Cools, Math. Comp. 2006): z_j is the
+    z in 1..P-1 that minimises the Korobov alpha = 2 criterion mean_k prod_j
+    (1 + gamma_j 2 pi^2 B2({k z_j / P})), B2(x) = x^2 - x + 1/6, one cyclic
+    convolution by FFT for all z = g^a and k = g^-b, g a primitive root.  Ties
+    within a relative 1e-12 go to the least z, so round-off cannot pick z."""
+    for g in range(1, P):  # the least primitive root: g^0..g^(P-2) are distinct
+        pw = np.ones(1, dtype=np.int64)
+        while len(pw) < P - 1:  # by doubling
+            pw = np.concatenate([pw, pw * pow(g, len(pw), P) % P])
+        if len(np.unique(pw := pw[: P - 1])) == P - 1:
+            break
+    B = lambda k: 2.0 * np.pi**2 * ((k / P) ** 2 - k / P + 1.0 / 6.0)  # noqa: E731
+    kernel, inv = np.fft.rfft(B(pw)), pw[-np.arange(P - 1) % (P - 1)]  # inv: k = g^-b
+    q, z = np.ones(P), np.empty(len(gamma), dtype=np.int64)
+    for j, gj in enumerate(gamma):  # q_k: the product over the coordinates before j
+        crit = q.sum() + gj * (q[0] * B(0) + np.fft.irfft(kernel * np.fft.rfft(q[inv]), P - 1))
+        z[j] = pw[crit <= crit.min() * (1.0 + 1e-12)].min()
+        q *= 1.0 + gj * B(np.arange(P) * z[j] % P)
+    return z
+
+
+def _lattice_size(alloc: int, faces: int) -> int:
+    """Largest prime P with _SHIFTS faces P <= alloc, or the least giving 64 rows if larger."""
+    unit = _SHIFTS * faces
+    floor = max(2, -(-64 // unit))
+    candidates = itertools.chain(range(alloc // unit, floor - 1, -1), itertools.count(floor))
+    return next(p for p in candidates if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
+def _shell_rows(a: float, b: float, N: int, x: np.ndarray) -> np.ndarray:
+    """J rows, shift by shift, of shifted lattice points x (shifts, P, N) in the
+    shell (a, b]: u = 1 - |2 frac(x) - 1| (the tent transform) to the cube
+    b (2u - 1) when a = 0, else to r by the inverse CDF of u_0 and one row a
+    axis i of [r, (2u - 1) r] rolled by i, so a_i = +r; |J(-a)| = |J(a)|."""
+    u = 1.0 - np.abs(2.0 * (x - np.floor(x)) - 1.0)
+    if a == 0.0:
+        return (b * (2.0 * u - 1.0)).reshape(-1, N)
+    r = (a**N + u[..., :1] * (b**N - a**N)) ** (1.0 / N)
+    full = np.concatenate([r, (2.0 * u[..., 1:] - 1.0) * r], axis=-1)
+    return full[..., (np.arange(N) - np.arange(N)[:, None]) % N].reshape(-1, N)
+
+
 def _abs_J_pow(n: int, m: int, k: int, rows: np.ndarray, tol: float, workers: int) -> np.ndarray:
     """|J(alpha)|^(2k) for a batch of coefficient vectors, each J within tol, on `workers`
     threads: quad.batch_osc_m1 for phases linear in x or y, else quad._batch_J."""
@@ -81,30 +128,30 @@ def _abs_J_pow(n: int, m: int, k: int, rows: np.ndarray, tol: float, workers: in
     return np.abs(vals) ** (2 * k)
 
 
-def theta_truncated(
-    n: int,
-    m: int,
-    k: int,
-    R: float,
-    n_samples: int,
-    seed: int,
-    tol: float = 1e-6,
-    workers: int = 1,
-) -> ThetaEstimate:
-    """Stratified MC estimate of the box-truncated integral of |J|^(2k).
+def theta_truncated(n: int, m: int, k: int, R: float, n_samples: int, seed: int,
+                    tol: float = 1e-6, workers: int = 1) -> ThetaEstimate:
+    """Stratified estimate of the box-truncated integral of |J|^(2k).
 
     Shells get samples in proportion to shell volume times the square root
-    of a pilot second moment (about 1% of the budget), rounded by largest
-    remainder, so n_samples equals the request unless a shell is raised to
-    its floor of 64; rng.summarize gives each shell's mean of |J|^(2k) and its
-    variance, which value and std_error weight by the shell volumes in fixed
-    order.  Each J is within tol, which sizes its rule (see quad).  The box
-    volume (2R)^N must be a finite float.
+    of a pilot second moment (about 1% of the budget, plain MC), rounded by
+    largest remainder.  Shell l then takes _SHIFTS random shifts of a
+    P-point rank-1 lattice rule (_lattice, weighted by the bound on |dJ/da|
+    of each column), tent-transformed as in Dick, Nuyens & Pillichshammer
+    (Numer. Math. 2014); _shell_rows gives a point one J row in the
+    innermost shell and N elsewhere.  P is the largest prime whose _SHIFTS x
+    rows x P J values fit the allocation, or the least giving 64, to which
+    the allocation is then raised.  n_samples, the pilot plus the
+    allocations, is the request unless one was raised; prime gaps leave the
+    J values a little below it.  A shell's mean and ESS are rng.summarize's
+    of its values, its SE the sample SD of its shift means over
+    sqrt(_SHIFTS); value and std_error weight them by the shell volumes in
+    fixed order.  Each J is within tol, which sizes its rule (see quad).
+    The box volume (2R)^N must be a finite float.
 
-    J is evaluated on all pilot rows in one call, then on the main draws
-    _CALL_BLOCKS blocks of _BLOCK rows at a time; `workers` threads share the
-    tasks of each call (see quad._batch_J), where the time goes.  The
-    result is bitwise independent of `workers`; the streams are keyed by R.
+    J is evaluated on all pilot rows in one call, then on the main rows in
+    calls of at most _CALL_ROWS cut at shift boundaries; `workers` threads
+    share the tasks of each call (see quad._batch_J), where the time goes.
+    The result is bitwise independent of `workers`; the streams are keyed by R.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -135,28 +182,40 @@ def theta_truncated(
     alloc = np.floor(share).astype(int)
     short = main_budget - int(alloc.sum())
     alloc[np.argsort(alloc - share, kind="stable")[:short]] += 1
-    alloc = np.maximum(alloc, 64)
 
-    # main draws in blocks of _BLOCK rows, each from its own stream; J is
-    # evaluated on _CALL_BLOCKS whole blocks per call
-    blocks = [(l, blk, min(_BLOCK, alloc[l] - blk * _BLOCK))
-              for l in range(len(shells)) for blk in range(-(-alloc[l] // _BLOCK))]
-    vals = [[] for _ in shells]
-    for c in range(0, len(blocks), _CALL_BLOCKS):
-        call = blocks[c : c + _CALL_BLOCKS]
-        rows = [_sample_shell(philox_stream(seed, 3, rtag, l, blk), *shells[l], N, size)
-                for l, blk, size in call]
-        f = _abs_J_pow(n, m, k, np.concatenate(rows), tol, workers)
-        for (l, _, _), fb in zip(call, np.split(f, np.cumsum([len(r) for r in rows])[:-1])):
-            vals[l].append(fb)
-    stats = [summarize(v, int(a)) for v, a in zip(vals, alloc)]
+    # main rule: _SHIFTS shifts of a P-point lattice per shell; a J call takes
+    # pieces of whole shifts while they fit in _CALL_ROWS rows (a larger shift is cut)
+    faces = [1] + [N] * (len(shells) - 1)  # J rows a lattice point
+    sizes = [_lattice_size(int(c), f) for c, f in zip(alloc, faces)]
+    count = [f * P for f, P in zip(faces, sizes)]  # J rows of one shift
+    alloc = np.maximum(alloc, _SHIFTS * np.array(count))  # a floor of 64, or more
+    pieces = [(l, s, min(s + step, _SHIFTS)) for l in range(len(shells))  # whole shifts
+              for step in [max(1, _CALL_ROWS // count[l])] for s in range(0, _SHIFTS, step)]
+    calls = [[]]
+    for piece in pieces:
+        if calls[-1] and sum(count[l] * (e - b) for l, b, e in calls[-1] + [piece]) > _CALL_ROWS:
+            calls.append([])
+        calls[-1].append(piece)
+    # CBC weights from |dJ/da_ij| <= 2 pi / ((i + 1) (j + 1)), by column
+    gamma = tuple(1.0 / ((i + 1) * (j + 1)) for i, j in monomial_indices(n, m))
+    points = [np.arange(P)[:, None] * _lattice(P, gamma) % P / P for P in sizes]
+    shifts = [uniform32(philox_stream(seed, 6, rtag, l), _SHIFTS, N) for l in range(len(shells))]
+    f = []
+    for call in calls:
+        rows = np.concatenate([_shell_rows(*shells[l], N, points[l] + shifts[l][s0:s1, None])
+                               for l, s0, s1 in call])
+        f += [_abs_J_pow(n, m, k, rows[i : i + _CALL_ROWS], tol, workers)
+              for i in range(0, len(rows), _CALL_ROWS)]
+    vals = np.split(np.concatenate(f), _SHIFTS * np.cumsum(count)[:-1])  # shell by shell
+    stats = [summarize([v], v.size) for v in vals]
+    ses = [float(np.std(v.reshape(_SHIFTS, -1).mean(1), ddof=1)) / _SHIFTS**0.5 for v in vals]
     return ThetaEstimate(
         n=n, m=m, k=k, R=float(R), value=float(sum(v * s.mean for v, s in zip(vols, stats))),
-        std_error=math.sqrt(float(sum(v**2 * s.var for v, s in zip(vols, stats)))),
+        std_error=math.sqrt(float(sum((v * se) ** 2 for v, se in zip(vols, ses)))),
         n_samples=int(alloc.sum()) + n_pilot_per * len(shells),
         shells=[{"lo": float(a), "hi": float(b), "alloc": int(c), "mean": s.mean,
-                 "std_error": math.sqrt(s.var), "ess": s.ess}
-                for (a, b), c, s in zip(shells, alloc, stats)], seed=seed)
+                 "std_error": se, "ess": s.ess}
+                for (a, b), c, s, se in zip(shells, alloc, stats, ses)], seed=seed)
 
 
 @dataclass
@@ -234,24 +293,19 @@ class GrowthReport:
     theorem_sign: int
 
 
-def growth_diagnostic(
-    n: int,
-    m: int,
-    k: int,
-    radii,
-    n_samples: int,
-    seed: int,
-    tol: float = 1e-6,
-    workers: int = 1,
-) -> GrowthReport:
+def growth_diagnostic(n: int, m: int, k: int, radii, n_samples: int, seed: int,
+                      tol: float = 1e-6, workers: int = 1) -> GrowthReport:
     """Fit log(value) against log(R) across radii and classify the growth.
 
-    Convergent when every increment sits below 5% of the preceding value
-    plus 3 combined standard errors (the slack absorbs the genuine but
-    shrinking truncation tail); otherwise divergent when the fitted slope
-    clears twice its own standard error; else inconclusive.  theorem_sign
-    records the sign of 4k minus the critical threshold (negative or zero
-    predicts growth).  Estimate i is theta_truncated at radii[i] with `seed`.
+    Convergent when every increment after the first is negligible, below 5%
+    of the preceding value plus 3 combined standard errors, or falls: its
+    rate per unit of log R is below the rate before it by more than twice
+    the SE of that fall (a convergent integral's truncation tail shrinks,
+    where log R growth keeps its rate and R^e growth raises it); otherwise
+    divergent when the fitted slope clears twice its own standard error;
+    else inconclusive.  theorem_sign records the sign of 4k minus the
+    critical threshold (negative or zero predicts growth).  Estimate i is
+    theta_truncated at radii[i] with `seed`.
     """
     radii = [float(r) for r in radii]
     for r in radii:
@@ -267,8 +321,13 @@ def growth_diagnostic(
     slope, slope_se = _wls_slope(np.log(radii), vals, ses)
 
     incs = np.diff(vals)
-    inc_ses = np.sqrt(ses[:-1] ** 2 + ses[1:] ** 2)
-    if np.all(incs < 0.05 * vals[:-1] + 3.0 * inc_ses):
+    negligible = incs < 0.05 * vals[:-1] + 3.0 * np.sqrt(ses[:-1] ** 2 + ses[1:] ** 2)
+    h = np.diff(np.log(radii))  # a fall is a drop in increment per unit of log R
+    fall = incs[:-1] / h[:-1] - incs[1:] / h[1:]
+    # adjacent increments share an estimate, which enters the fall twice
+    fall_se = np.sqrt((ses[2:] / h[1:]) ** 2 + (ses[1:-1] * (1 / h[1:] + 1 / h[:-1])) ** 2
+                      + (ses[:-2] / h[:-1]) ** 2)
+    if np.all(negligible[1:] | (fall > 2.0 * fall_se)):
         cls = "convergent"
     elif slope - 2.0 * slope_se > 0.0:
         cls = "divergent"

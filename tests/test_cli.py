@@ -411,13 +411,12 @@ class TestOtherCommands:
 
 
 GOLDEN = [
-    # captured when theta's draws moved to rng.uniform32 on streams keyed by R:
-    # diagnose's estimate at each radius is theta's at that radius and seed;
-    # each estimate's "shells" rows added later, no other line moved;
-    # recaptured with the json encoder: only float text changed
+    # recaptured when theta's main draws became 16 random shifts of a lattice
+    # rule per shell: every value, SE, alloc and n_samples moved; diagnose's
+    # estimate at each radius is still theta's at that radius and seed
     ("theta_1_1_1_2_samples_1000_seed_3.json",
      ["theta", "1", "1", "1", "2", "--samples", "1000", "--seed", "3"]),
-    # recaptured with the json encoder: only float text changed
+    # recaptured with the lattice rule, as above
     ("diagnose_1_1_1_radii_2_4_8_samples_2000_seed_3.json",
      ["diagnose", "1", "1", "1", "--radii", "2", "4", "8", "--samples", "2000",
       "--seed", "3"]),

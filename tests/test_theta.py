@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tarry2d import quad
-from tarry2d.poly import monomial_count
-from tarry2d.rng import philox_stream
+from tarry2d.poly import monomial_count, monomial_indices
+from tarry2d.rng import philox_stream, uniform32
 from tarry2d.theta import (
+    _lattice,
+    _lattice_size,
     _sample_shell,
     _shell_bounds,
+    _shell_rows,
     _wls_slope,
     growth_diagnostic,
     parseval_check,
@@ -83,6 +86,72 @@ class TestShells:
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         # chi-square upper 1e-4 points: 25.74 with 5 degrees of freedom, 33.72 with 9
         assert chi2 < {3: 25.74, 5: 33.72}[N]
+
+
+def plain_cbc(P, gamma):
+    """Component-by-component search in O(d P^2): z_j minimises
+    sum_k prod_(i <= j) (1 + gamma_i 2 pi^2 B2({k z_i / P})) over z in 1..P-1,
+    ties within a relative 1e-12 to the least z."""
+    x = (np.arange(1, P)[:, None] * np.arange(P)[None, :] % P) / P  # row z - 1, column k
+    table = 2.0 * np.pi**2 * (x * x - x + 1.0 / 6.0)
+    q, z = np.ones(P), []
+    for g in gamma:
+        crit = ((1.0 + g * table) * q).sum(axis=1)
+        z.append(int(np.flatnonzero(crit <= crit.min() * (1.0 + 1e-12))[0]) + 1)
+        q = q * (1.0 + g * table[z[-1] - 1])
+    return z
+
+
+PRIMES_BELOW_300 = [p for p in range(2, 300) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+class TestLattice:
+    @pytest.mark.parametrize("P", PRIMES_BELOW_300)
+    def test_fast_cbc_matches_plain_cbc(self, P):
+        for N in range(1, 7):
+            for gamma in ((1.0,) * N, tuple(1.0 / (j + 1) for j in range(N))):
+                assert _lattice(P, gamma).tolist() == plain_cbc(P, gamma), (N, gamma)
+
+    @pytest.mark.parametrize("gamma", [(1.0,) * 3, tuple(
+        1.0 / ((i + 1) * (j + 1)) for i, j in monomial_indices(2, 1))])
+    def test_shifted_tent_rule_beats_plain_mc(self, gamma):
+        # prod_j (1 + g_j (x_j e^x_j - 1)) has mean 1 on [0, 1]^d, and each
+        # factor variance g_j^2 ((e^2 - 1) / 4 - 1); plain MC on the same
+        # 16 P points has RMS error sqrt(var / (16 P))
+        P, g = 1021, np.array(gamma)
+        pts = np.arange(P)[:, None] * _lattice(P, gamma) % P / P
+        errs = []
+        for rep in range(40):
+            shifts = uniform32(philox_stream(rep, 99), 16, len(g))
+            u = [(_shell_rows(0.0, 1.0, len(g), pts + d) + 1.0) / 2.0 for d in shifts]
+            errs.append(np.mean([np.prod(1.0 + g * (v * np.exp(v) - 1.0), axis=1).mean()
+                                 for v in u]) - 1.0)
+        mc = math.sqrt((np.prod(1.0 + g**2 * ((math.e**2 - 1.0) / 4.0 - 1.0)) - 1.0) / (16 * P))
+        assert math.sqrt(np.mean(np.square(errs))) * 20.0 <= mc
+
+    def test_shift_stream_differs_from_other_tags(self):
+        rtag = int(np.float64(4.0).view(np.uint64))
+        shifts = uniform32(philox_stream(12, 6, rtag, 1), 16, 3)
+        for tag in range(6):
+            for key in ((tag,), (tag, rtag), (tag, rtag, 1), (tag, rtag, 1, 0)):
+                assert not np.array_equal(uniform32(philox_stream(12, *key), 16, 3), shifts)
+
+    @pytest.mark.parametrize("faces", [1, 3, 5, 8])
+    def test_lattice_size(self, faces):
+        # the largest prime whose 16 shifts give 64 to alloc rows, else the least giving 64
+        for alloc in range(64, 4000, 7):
+            fits = [p for p in PRIMES_BELOW_300 if 64 <= 16 * faces * p <= alloc]
+            least = min(p for p in PRIMES_BELOW_300 if 16 * faces * p >= 64)
+            assert _lattice_size(alloc, faces) == (max(fits) if fits else least)
+
+    def test_shell_rows_cover_the_shell(self):
+        # every row lies in the shell, and the N rows of a point put +r on each axis
+        x = uniform32(philox_stream(5), 200, 5).reshape(2, 100, 5)
+        rows = _shell_rows(2.0, 4.0, 5, x).reshape(2, 100, 5, 5)
+        r = np.abs(rows).max(axis=-1)
+        assert np.all((2.0 < r) & (r <= 4.0))
+        assert np.array_equal(np.diagonal(rows, axis1=2, axis2=3), r)
+        assert np.all(np.abs(_shell_rows(0.0, 0.5, 5, x)) <= 0.5)
 
 
 class TestThetaTruncated:
