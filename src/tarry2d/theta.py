@@ -2,7 +2,7 @@
 
 theta_truncated integrates |J(alpha)|^(2k) over the max-norm box [-R, R]^N
 by randomly shifted lattice rules on dyadic shells of the max norm, with a
-Monte Carlo pilot pass steering the per-shell allocation.  parseval_check
+plain uniform pilot steering the per-shell allocation.  parseval_check
 evaluates the two-coefficient marginal mass by one a-priori sized
 quadrature, and growth_diagnostic fits the growth of the truncated integral
 against the radius from theta_truncated at each radius with the caller's seed.
@@ -38,10 +38,16 @@ class ThetaEstimate:
     seed: int
 
 
-def _shell_bounds(R: float) -> list[tuple[float, float]]:
-    """Dyadic max-norm shells (0,1], (1,2], (2,4], ... clipped at R."""
-    if not 0.0 < R < math.inf:
-        raise ValueError(f"R must be positive and finite, got {R}")
+def _shell_bounds(R: float, N: int) -> list[tuple[float, float]]:
+    """Dyadic max-norm shells (0,1], (1,2], (2,4], ... clipped at R.  ValueError
+    unless R > 0 and the box volume (2R)^N is a positive finite float: one that
+    underflows to 0 would leave the shell allocation 0/0."""
+    try:
+        finite = 0.0 < R and 0.0 < (2.0 * R) ** N < math.inf
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"R must be positive with a box volume (2R)^{N} in (0, inf), got {R}")
     bounds = [0.0]
     b = 1.0
     while b < R:
@@ -49,29 +55,6 @@ def _shell_bounds(R: float) -> list[tuple[float, float]]:
         b *= 2.0
     bounds.append(R)
     return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _check_radius(R: float, N: int) -> None:
-    """ValueError unless R > 0 and the box volume (2R)^N is a positive finite
-    float: one that underflows to 0 would leave the shell allocation 0/0."""
-    try:
-        finite = 0.0 < R and 0.0 < (2.0 * R) ** N < math.inf
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError(f"R must be positive with a box volume (2R)^{N} in (0, inf), got {R}")
-
-
-def _sample_shell(bitgen, a: float, b: float, N: int, size: int):
-    """Uniform draws from the max-norm shell {a < ||x||_inf <= b}, from one
-    uniform32 block of a philox_stream bit generator: row 0 the radius, rows
-    1..N the coordinates, row N + 1 the face, floor(2N u) = 2 axis + (sign > 0)."""
-    u = uniform32(bitgen, N + 2, size)
-    r = (a**N + u[0] * (b**N - a**N)) ** (1.0 / N)
-    pts = (2.0 * u[1 : N + 1].T - 1.0) * r[:, None]
-    face = (u[N + 1] * (2 * N)).astype(np.intp)  # floor: u >= 0
-    pts[np.arange(size), face >> 1] = (2.0 * (face & 1) - 1.0) * r
-    return pts
 
 
 @functools.lru_cache(maxsize=128)
@@ -133,20 +116,21 @@ def theta_truncated(n: int, m: int, k: int, R: float, n_samples: int, seed: int,
     """Stratified estimate of the box-truncated integral of |J|^(2k).
 
     Shells get samples in proportion to shell volume times the square root
-    of a pilot second moment (about 1% of the budget, plain MC), rounded by
-    largest remainder.  Shell l then takes _SHIFTS random shifts of a
-    P-point rank-1 lattice rule (_lattice, weighted by the bound on |dJ/da|
-    of each column), tent-transformed as in Dick, Nuyens & Pillichshammer
-    (Numer. Math. 2014); _shell_rows gives a point one J row in the
-    innermost shell and N elsewhere.  P is the largest prime whose _SHIFTS x
-    rows x P J values fit the allocation, or the least giving 64, to which
-    the allocation is then raised.  n_samples, the pilot plus the
-    allocations, is the request unless one was raised; prime gaps leave the
-    J values a little below it.  A shell's mean and ESS are rng.summarize's
-    of its values, its SE the sample SD of its shift means over
-    sqrt(_SHIFTS); value and std_error weight them by the shell volumes in
-    fixed order.  Each J is within tol, which sizes its rule (see quad).
-    The box volume (2R)^N must be a finite float.
+    of a pilot second moment (about 1% of the budget, plain uniform points),
+    rounded by largest remainder.  Shell l then takes _SHIFTS random shifts
+    of a P-point rank-1 lattice rule (_lattice, weighted by the bound on
+    |dJ/da| of each column), tent-transformed as in Dick, Nuyens &
+    Pillichshammer (Numer. Math. 2014).  Both map points by _shell_rows, to
+    one J row in the innermost shell and N elsewhere (the pilot keeps the
+    first rows).  P is the largest prime whose _SHIFTS x rows x P J values
+    fit the allocation, or the least giving 64, to which the allocation is
+    then raised.  n_samples, the pilot plus the allocations, is the request
+    unless one was raised; prime gaps leave the J values a little below it.
+    A shell's mean and ESS are rng.summarize's of its values, its SE the
+    sample SD of its shift means over sqrt(_SHIFTS); value and std_error
+    weight them by the shell volumes in fixed order.  Each J is within tol,
+    which sizes its rule (see quad).  The box volume (2R)^N must be a finite
+    float.
 
     J is evaluated on all pilot rows in one call, then on the main rows in
     calls of at most _CALL_ROWS cut at shift boundaries; `workers` threads
@@ -159,16 +143,16 @@ def theta_truncated(n: int, m: int, k: int, R: float, n_samples: int, seed: int,
         raise ValueError("n_samples must be >= 1")
     quad._check_tol(tol)
     N = monomial_count(n, m)
-    _check_radius(R, N)
-    shells = _shell_bounds(R)
+    shells = _shell_bounds(R, N)
     rtag = int(np.float64(R).view(np.uint64))  # R's bits (see rng)
     vols = np.array([(2 * b) ** N - (2 * a) ** N for a, b in shells])
 
+    faces = [1] + [N] * (len(shells) - 1)  # J rows a point
     n_pilot_per = max(64, int(0.01 * n_samples) // len(shells))
-    # every shell's pilot rows in one J call, outermost shell first (each draws
-    # from its own stream): a phase beyond the node budget fails at once
-    f = _abs_J_pow(n, m, k, np.concatenate([
-        _sample_shell(philox_stream(seed, 2, rtag, l), a, b, N, n_pilot_per)
+    # every shell's pilot rows in one J call, outermost shell first (each maps
+    # uniforms of its own stream): a phase beyond the node budget fails at once
+    f = _abs_J_pow(n, m, k, np.concatenate([_shell_rows(a, b, N, uniform32(
+        philox_stream(seed, 2, rtag, l), -(-n_pilot_per // faces[l]), N))[:n_pilot_per]
         for l, (a, b) in reversed(list(enumerate(shells)))]), tol, workers)
     pilot_m2 = np.mean((f * f).reshape(len(shells), n_pilot_per), axis=1)[::-1]
 
@@ -185,7 +169,6 @@ def theta_truncated(n: int, m: int, k: int, R: float, n_samples: int, seed: int,
 
     # main rule: _SHIFTS shifts of a P-point lattice per shell; a J call takes
     # pieces of whole shifts while they fit in _CALL_ROWS rows (a larger shift is cut)
-    faces = [1] + [N] * (len(shells) - 1)  # J rows a lattice point
     sizes = [_lattice_size(int(c), f) for c, f in zip(alloc, faces)]
     count = [f * P for f, P in zip(faces, sizes)]  # J rows of one shift
     alloc = np.maximum(alloc, _SHIFTS * np.array(count))  # a floor of 64, or more
@@ -309,7 +292,7 @@ def growth_diagnostic(n: int, m: int, k: int, radii, n_samples: int, seed: int,
     """
     radii = [float(r) for r in radii]
     for r in radii:
-        _check_radius(r, monomial_count(n, m))
+        _shell_bounds(r, monomial_count(n, m))
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("need at least 3 strictly increasing radii")
     quad._check_tol(tol)

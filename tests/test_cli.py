@@ -413,10 +413,12 @@ class TestOtherCommands:
 GOLDEN = [
     # recaptured when theta's main draws became 16 random shifts of a lattice
     # rule per shell: every value, SE, alloc and n_samples moved; diagnose's
-    # estimate at each radius is still theta's at that radius and seed
+    # estimate at each radius is still theta's at that radius and seed.
+    # Recaptured again when the pilot's draws went through _shell_rows: they
+    # moved the allocation, and with it every value, SE and alloc
     ("theta_1_1_1_2_samples_1000_seed_3.json",
      ["theta", "1", "1", "1", "2", "--samples", "1000", "--seed", "3"]),
-    # recaptured with the lattice rule, as above
+    # recaptured with the lattice rule, and with the pilot on _shell_rows, as above
     ("diagnose_1_1_1_radii_2_4_8_samples_2000_seed_3.json",
      ["diagnose", "1", "1", "1", "--radii", "2", "4", "8", "--samples", "2000",
       "--seed", "3"]),

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from tarry2d import quad
 from tarry2d.poly import PolySpec, monomial_count, monomial_indices
 from tarry2d.quad import PanelBudgetError, batch_osc_m1, osc_integral
-from tarry2d.rng import philox_stream
-from tarry2d.theta import _sample_shell, _shell_bounds
+from tarry2d.rng import philox_stream, uniform32
+from tarry2d.theta import _shell_bounds, _shell_rows
 
 
 def midpoint_oracle(F, cells):
@@ -330,8 +330,8 @@ class TestBatch:
         rng = np.random.default_rng(9)
         rows = np.vstack([
             rng.uniform(-8, 8, (40, 3)),
-            # the R = 20..40 max-norm shell: several variation groups, many chunks
-            _sample_shell(philox_stream(9), 20.0, 40.0, 3, 200),
+            # the R = 20..40 max-norm shell, 3 rows a point: several variation groups, many chunks
+            _shell_rows(20.0, 40.0, 3, uniform32(philox_stream(9), 67, 3))[:200],
             # y-coefficients exactly 0 and about 1e-12: the sinc limit
             with_y_coeffs(1, rng.uniform(-8, 8, (10, 3)), 0.0),
             with_y_coeffs(1, rng.uniform(-8, 8, (10, 3)), rng.uniform(-2e-12, 2e-12, (10, 2))),
@@ -516,8 +516,8 @@ class TestCosSin:
         # sinc damps their phase error), each J within 1e-15 of the same rule's value with
         # cos and sin from np.cos and np.sin
         N = monomial_count(n, m)
-        rows = np.vstack([_sample_shell(philox_stream(74, l), a, b, N, draws)
-                          for l, (a, b) in enumerate(_shell_bounds(R))])
+        rows = np.vstack([_shell_rows(a, b, N, uniform32(philox_stream(74, l), draws, N))[:draws]
+                          for l, (a, b) in enumerate(_shell_bounds(R, N))])
         if m == 1:
             rows = np.vstack([rows, with_y_coeffs(n, rows, 0.0)])
         got = quad._batch_J(n, m, rows, 1e-6)[0]

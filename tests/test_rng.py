@@ -41,7 +41,7 @@ class TestPhiloxStream:
         tags += [(1, b) for b in range(1 << 12)]
         for R in RADII:
             bits = int(np.float64(R).view(np.uint64))
-            shells = range(len(_shell_bounds(R)))
+            shells = range(len(_shell_bounds(R, 3)))
             tags += [(2, bits, l) for l in shells]
             tags += [(3, bits, l, blk) for l in shells for blk in range(512)]
         tags += [(4, P) for P in range(1, 257)]

@@ -12,7 +12,6 @@ from tarry2d.rng import philox_stream, uniform32
 from tarry2d.theta import (
     _lattice,
     _lattice_size,
-    _sample_shell,
     _shell_bounds,
     _shell_rows,
     _wls_slope,
@@ -49,43 +48,42 @@ def J_oracle_11(rows, nodes=1024):
 
 class TestShells:
     def test_bounds_clip(self):
-        assert _shell_bounds(5.0) == [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0), (4.0, 5.0)]
-        assert _shell_bounds(1.0) == [(0.0, 1.0)]
-        assert _shell_bounds(0.5) == [(0.0, 0.5)]
+        assert _shell_bounds(5.0, 3) == [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0), (4.0, 5.0)]
+        assert _shell_bounds(1.0, 3) == [(0.0, 1.0)]
+        assert _shell_bounds(0.5, 3) == [(0.0, 0.5)]
 
     def test_bounds_reject_nonpositive(self):
+        for R in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                _shell_bounds(R, 3)
+
+    @pytest.mark.parametrize("R", [math.inf, 1e-300, 1e200])
+    def test_bounds_reject_box_volume(self, R):
+        # (2R)^3 must be a positive finite float: 1e-300 underflows to 0, 1e200 overflows
         with pytest.raises(ValueError):
-            _shell_bounds(0.0)
+            _shell_bounds(R, 3)
 
-    def test_sample_shell_support(self):
-        rng = philox_stream(7)
-        pts = _sample_shell(rng, 1.0, 2.0, 3, 20000)
-        r = np.max(np.abs(pts), axis=1)
-        assert np.all(r > 1.0 - 1e-12)
-        assert np.all(r <= 2.0 + 1e-12)
+    def test_bounds_accept_small_box_volume(self):
+        assert _shell_bounds(1e-100, 3) == [(0.0, 1e-100)]
 
-    def test_sample_shell_radial_law(self):
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.0, 2.0)])
+    def test_shell_rows_support(self, a, b):
+        # plain uniforms, the pilot's input, land in the shell (or the innermost cube)
+        rows = _shell_rows(a, b, 3, uniform32(philox_stream(7), 20000, 3))
+        r = np.max(np.abs(rows), axis=1)
+        assert np.all(r > a - 1e-12)
+        assert np.all(r <= b + 1e-12)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.0, 2.0)])
+    def test_shell_rows_radial_law(self, a, b):
         # P(r <= c) inside the shell is (c^N - a^N) / (b^N - a^N)
-        rng = philox_stream(8)
-        a, b, N = 1.0, 2.0, 3
-        pts = _sample_shell(rng, a, b, N, 200000)
-        r = np.max(np.abs(pts), axis=1)
+        N = 3
+        rows = _shell_rows(a, b, N, uniform32(philox_stream(8), 200000, N))
+        r = np.max(np.abs(rows), axis=1)
         c = 1.5
         frac = np.mean(r <= c)
         want = (c**N - a**N) / (b**N - a**N)
         assert frac == pytest.approx(want, abs=0.01)
-
-    @pytest.mark.parametrize("N", [3, 5])
-    def test_sample_shell_faces_equally_likely(self, N):
-        # the face of a draw is its axis of largest |x| and that coordinate's sign
-        pts = _sample_shell(philox_stream(9), 2.0, 4.0, N, 60000)
-        axis = np.argmax(np.abs(pts), axis=1)
-        face = 2 * axis + (pts[np.arange(len(pts)), axis] > 0)
-        counts = np.bincount(face, minlength=2 * N)
-        expected = len(pts) / (2 * N)
-        chi2 = float(((counts - expected) ** 2 / expected).sum())
-        # chi-square upper 1e-4 points: 25.74 with 5 degrees of freedom, 33.72 with 9
-        assert chi2 < {3: 25.74, 5: 33.72}[N]
 
 
 def plain_cbc(P, gamma):
@@ -204,7 +202,7 @@ class TestThetaTruncated:
     def test_shells_reproduce_value(self, n, m, R, samples):
         est = theta_truncated(n, m, 1, R, samples, seed=16)
         N = monomial_count(n, m)
-        assert [(row["lo"], row["hi"]) for row in est.shells] == _shell_bounds(R)
+        assert [(row["lo"], row["hi"]) for row in est.shells] == _shell_bounds(R, N)
         vols = [(2 * row["hi"]) ** N - (2 * row["lo"]) ** N for row in est.shells]
         # the shells sum to value bit for bit, in shell order
         assert sum(v * row["mean"] for v, row in zip(vols, est.shells)) == est.value
@@ -250,6 +248,19 @@ class TestThetaTruncated:
         loose = theta_truncated(1, 1, 1, 8.0, 4000, seed=3, tol=1e-3).value
         assert loose != tight
         assert loose == pytest.approx(tight, rel=0.05)
+
+    def test_pilot_evaluates_its_share_in_one_call(self, monkeypatch):
+        # 7 shells to R = 40, each n_pilot_per = max(64, 120 // 7) = 64 J rows, in the first call
+        sizes, batch = [], quad.batch_osc_m1
+
+        def record(n, rows, **kwargs):
+            sizes.append(len(rows))
+            return batch(n, rows, **kwargs)
+
+        monkeypatch.setattr(quad, "batch_osc_m1", record)
+        est = theta_truncated(1, 1, 1, 40.0, 12000, seed=5)
+        assert len(est.shells) == 7
+        assert sizes[0] == 64 * 7
 
     @pytest.mark.parametrize("n,m", [(2, 2), (1, 1)])
     def test_over_budget_fails_on_first_phase(self, monkeypatch, n, m):
