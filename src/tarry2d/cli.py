@@ -26,6 +26,7 @@ from . import lowerbound, poly, quad, theta, variety
 from .rng import check_seed, philox_stream, uniform32
 
 DEFAULT_SEED = 20240001
+_MAX_DIVERGENT_K = 1 << 20  # longest divergent_k list exponent writes, about 13 MB of JSON
 _NO_EFFECT = "accepted for uniformity with the other seeded commands; has no effect"
 
 
@@ -74,6 +75,8 @@ def _load_json(path: str, cls):
 
 def cmd_exponent(args):
     thr = poly.critical_threshold(args.n, args.m)
+    if thr // 4 > _MAX_DIVERGENT_K:
+        raise ValueError(f"{thr // 4} divergent k, over the {_MAX_DIVERGENT_K} exponent lists")
     divergent = list(range(1, thr // 4 + 1))
     return {
         "N": poly.monomial_count(args.n, args.m),

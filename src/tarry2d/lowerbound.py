@@ -9,7 +9,7 @@ pairwise disjoint in original coefficients.  Both facts have closed forms:
 disjointness_check certifies the disjointness of every pair of boxes, and
 gradient_margin is the exact margin of the gradient bound, one number for
 every box, which box_sweep reports with each box's volume.  e_set_margin
-and boxes_disjoint are their references for one phase and one pair.
+is the reference for one phase, tests/test_lowerbound.py's boxes_disjoint for one pair.
 """
 
 from __future__ import annotations
@@ -72,14 +72,6 @@ class BoxRegion:
     @property
     def center(self) -> tuple[float, float]:
         return (self.nu / self.P, self.mu / self.P)
-
-    @property
-    def indices(self) -> list[tuple[int, int]]:
-        return monomial_indices(self.n, self.m)
-
-    def top_interval(self) -> tuple[float, float]:
-        r = self.indices.index((self.n, self.m))
-        return (float(self.lower[r]), float(self.upper[r]))
 
 
 def box_bounds(n: int, m: int, k: int, P: int, nu: int, mu: int) -> BoxRegion:
@@ -149,33 +141,6 @@ def box_sweep(n: int, m: int, k: int, scales) -> list[dict]:
             for P, nu, mu in centers]
 
 
-def boxes_disjoint(r1: BoxRegion, r2: BoxRegion) -> bool:
-    """Certify that two boxes are disjoint in original coefficients.
-
-    Same scale, centers differing in nu: along the (n-1, m) coefficient, the
-    shared top coefficient t forces a gap |d_nu|/P * n * t exceeding the sum
-    of the residual interval widths.  Centers differing only in mu: the
-    symmetric argument on (n, m-1).  Different scales: the top-coefficient
-    intervals are separated (touching endpoints count as disjoint, half-open).
-    """
-    if (r1.n, r1.m, r1.k) != (r2.n, r2.m, r2.k):
-        raise ValueError("boxes must share (n, m, k)")
-    n, m = r1.n, r1.m
-    c = c_constant(n, m, r1.k)
-    if r1.P != r2.P:
-        lo1, hi1 = r1.top_interval()
-        lo2, hi2 = r2.top_interval()
-        return hi1 <= lo2 or hi2 <= lo1
-    P = r1.P
-    if (r1.nu, r1.mu) == (r2.nu, r2.mu):
-        return False
-    t_min = 0.5 * c * P ** (n + m - 1)
-    widths = 0.2 * c * P ** (n + m - 2)
-    if r1.nu != r2.nu:
-        return abs(r1.nu - r2.nu) / P * n * t_min > widths
-    return abs(r1.mu - r2.mu) / P * m * t_min > widths
-
-
 @dataclass
 class DisjointnessReport:
     n: int
@@ -204,18 +169,19 @@ def _centers(scales) -> tuple[list[int], list[tuple[int, int, int]]]:
 
 def disjointness_check(n: int, m: int, k: int, scales) -> DisjointnessReport:
     """Pairwise disjointness of all boxes across the given dyadic scales, in
-    closed form: every pair passes boxes_disjoint, so there are no violations.
+    closed form, so there are no violations; boxes_disjoint in
+    tests/test_lowerbound.py checks one pair by the float expressions below.
 
-    In the terms of boxes_disjoint's float expressions, with e = n + m - 1:
-    two boxes at one scale P and distinct centres have the gap |d| n t_min / P,
-    d the difference in nu, or |d| m t_min / P when only mu differs, with
-    t_min = c P^e / 2.  Against the widths 0.2 c P^(e-1) that is a ratio of
-    2.5 |d| n (or m) >= 2.5, far beyond the few ulps of rounding on each side.
-    Two scales P' >= 2P (_centers enforces this) have the top intervals
-    [c P^e / 2, c P^e] and [c P'^e / 2, c P'^e], which can only touch, and only
-    at e = 1 with P' = 2P.  Rounding is monotone and halving is exact, so
-    c*P**e <= 0.5*c*P'**e holds in doubles too; at the touch c*P and
-    0.5*c*(2P) are the same double, and the intervals are half-open.
+    With e = n + m - 1: two boxes at one scale P and distinct centres differ by
+    d in nu, or only in mu.  Along the (n-1, m) coefficient (or (n, m-1)), the
+    shared top coefficient t >= t_min = c P^e / 2 forces the gap |d| n t_min / P
+    (or |d| m t_min / P).  Against the sum of the residual widths 0.2 c P^(e-1)
+    that is a ratio of 2.5 |d| n (or m) >= 2.5, far beyond the few ulps of
+    rounding on each side.  Two scales P' >= 2P (_centers enforces this) have
+    the top intervals [c P^e / 2, c P^e] and [c P'^e / 2, c P'^e], which can
+    only touch, and only at e = 1 with P' = 2P.  Rounding is monotone and
+    halving is exact, so c*P**e <= 0.5*c*P'**e holds in doubles too; at the
+    touch c*P and 0.5*c*(2P) are the same double, and the intervals are half-open.
     """
     scales, centers = _centers(scales)
     c_constant(n, m, k)  # rejects n, m or k below 1

@@ -128,9 +128,6 @@ class PolySpec:
         fy = np.polynomial.polynomial.polyval2d(x, y, Cy)
         return fx, fy
 
-    def negate(self) -> "PolySpec":
-        return PolySpec(self.n, self.m, {ij: -v for ij, v in self.coeffs.items()})
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

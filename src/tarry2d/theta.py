@@ -149,12 +149,12 @@ def theta_truncated(n: int, m: int, k: int, R: float, n_samples: int, seed: int,
 
     faces = [1] + [N] * (len(shells) - 1)  # J rows a point
     n_pilot_per = max(64, int(0.01 * n_samples) // len(shells))
-    # every shell's pilot rows in one J call, outermost shell first (each maps
-    # uniforms of its own stream): a phase beyond the node budget fails at once
+    # every shell's pilot rows, each mapping uniforms of its own stream, in one
+    # J call, which sizes every row before it evaluates any
     f = _abs_J_pow(n, m, k, np.concatenate([_shell_rows(a, b, N, uniform32(
         philox_stream(seed, 2, rtag, l), -(-n_pilot_per // faces[l]), N))[:n_pilot_per]
-        for l, (a, b) in reversed(list(enumerate(shells)))]), tol, workers)
-    pilot_m2 = np.mean((f * f).reshape(len(shells), n_pilot_per), axis=1)[::-1]
+        for l, (a, b) in enumerate(shells)]), tol, workers)
+    pilot_m2 = np.mean((f * f).reshape(len(shells), n_pilot_per), axis=1)
 
     main_budget = max(n_samples - n_pilot_per * len(shells), len(shells) * 64)
     w = vols * np.sqrt(pilot_m2)

@@ -52,6 +52,14 @@ class TestExponent:
         code, _ = run_cli(capsys, "exponent", "0", "1")
         assert code == 2
 
+    def test_divergent_list_capped(self, capsys):
+        # (161, 161) has 1056321 divergent k, just over the 2^20 that exponent
+        # lists: one line and exit 2, before the list is built
+        code = cli.main(["exponent", "161", "161"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "1048576" in captured.err
+
 
 class TestIntegral:
     def test_matches_library(self, capsys, tmp_path):

@@ -14,7 +14,6 @@ from tarry2d.lowerbound import (
     box_to_alpha,
     box_volume,
     box_volume_exponent,
-    boxes_disjoint,
     c_constant,
     disjointness_check,
     e_set_margin,
@@ -52,15 +51,15 @@ class TestBoxes:
     def test_top_interval(self):
         c = c_constant(2, 1, 2)
         region = box_bounds(2, 1, 2, 4, 1, 1)
-        lo, hi = region.top_interval()
-        assert lo == pytest.approx(0.5 * c * 4**2)
-        assert hi == pytest.approx(c * 4**2)
+        top = monomial_indices(2, 1).index((2, 1))
+        assert region.lower[top] == pytest.approx(0.5 * c * 4**2)
+        assert region.upper[top] == pytest.approx(c * 4**2)
 
     def test_interval_widths(self):
         c = c_constant(2, 1, 2)
         region = box_bounds(2, 1, 2, 2, 1, 2)
         widths = region.upper - region.lower
-        for r, (i, j) in enumerate(region.indices):
+        for r, (i, j) in enumerate(monomial_indices(2, 1)):
             if (i, j) == (2, 1):
                 assert widths[r] == pytest.approx(0.5 * c * 2**2)
             else:
@@ -161,6 +160,32 @@ def _dyadic_scales(draw, top=16):
     while 2 * scales[-1] <= top and draw(st.booleans()):
         scales.append(draw(st.integers(2 * scales[-1], top)))
     return scales
+
+
+def boxes_disjoint(r1: BoxRegion, r2: BoxRegion) -> bool:
+    """Scalar reference: certify that two boxes are disjoint in original coefficients.
+
+    Same scale, centers differing in nu: along the (n-1, m) coefficient, the
+    shared top coefficient t forces a gap |d_nu|/P * n * t exceeding the sum
+    of the residual interval widths.  Centers differing only in mu: the
+    symmetric argument on (n, m-1).  Different scales: the top-coefficient
+    intervals are separated (touching endpoints count as disjoint, half-open).
+    """
+    if (r1.n, r1.m, r1.k) != (r2.n, r2.m, r2.k):
+        raise ValueError("boxes must share (n, m, k)")
+    n, m = r1.n, r1.m
+    c = c_constant(n, m, r1.k)
+    if r1.P != r2.P:
+        top = monomial_indices(n, m).index((n, m))
+        return r1.upper[top] <= r2.lower[top] or r2.upper[top] <= r1.lower[top]
+    P = r1.P
+    if (r1.nu, r1.mu) == (r2.nu, r2.mu):
+        return False
+    t_min = 0.5 * c * P ** (n + m - 1)
+    widths = 0.2 * c * P ** (n + m - 2)
+    if r1.nu != r2.nu:
+        return abs(r1.nu - r2.nu) / P * n * t_min > widths
+    return abs(r1.mu - r2.mu) / P * m * t_min > widths
 
 
 class TestDisjointness:

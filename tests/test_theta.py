@@ -10,6 +10,8 @@ from tarry2d import quad
 from tarry2d.poly import monomial_count, monomial_indices
 from tarry2d.rng import philox_stream, uniform32
 from tarry2d.theta import (
+    _CALL_ROWS,
+    _SHIFTS,
     _lattice,
     _lattice_size,
     _shell_bounds,
@@ -262,10 +264,32 @@ class TestThetaTruncated:
         assert len(est.shells) == 7
         assert sizes[0] == 64 * 7
 
+    def test_main_rows_split_into_calls_of_whole_shifts(self, monkeypatch):
+        # 200000 samples to R = 40 need more than one main call of at most _CALL_ROWS rows
+        sizes, batch = [], quad.batch_osc_m1
+
+        def record(n, rows, **kwargs):
+            sizes.append(len(rows))
+            return batch(n, rows, **kwargs)
+
+        monkeypatch.setattr(quad, "batch_osc_m1", record)
+        est = theta_truncated(1, 1, 1, 40.0, 200_000, seed=7)
+        pilot, main = sizes[0], sizes[1:]
+        assert pilot == 7 * (2000 // 7) and len(main) > 1
+        assert max(sizes) <= _CALL_ROWS
+        # J rows of one shift: P lattice points of faces rows each, P sized from the allocation
+        faces = [1] + [3] * (len(est.shells) - 1)
+        shift = [f * _lattice_size(s["alloc"], f) for f, s in zip(faces, est.shells)]
+        assert sum(main) == _SHIFTS * sum(shift)
+        ends = set(np.cumsum(np.repeat(shift, _SHIFTS)).tolist())
+        assert set(np.cumsum(main).tolist()) <= ends
+        monkeypatch.undo()
+        assert asdict(theta_truncated(1, 1, 1, 40.0, 200_000, seed=7, workers=2)) == asdict(est)
+
     @pytest.mark.parametrize("n,m", [(2, 2), (1, 1)])
     def test_over_budget_fails_on_first_phase(self, monkeypatch, n, m):
-        # the outermost shell's pilot rows come first, so no inner-shell J is
-        # evaluated before the node budget stops the run
+        # the pilot's one J call sizes every row before it evaluates any, so
+        # no J is evaluated before the node budget stops the run
         def first_call_only(f):
             def call(*args, **kwargs):
                 if not depth:  # a J call, not batch_osc_m1's own call of _batch_J
