@@ -270,11 +270,18 @@ def _read_config_file(path: str) -> list[str]:
     """A key=value file's pairs as flag tokens, --key followed by the value's words."""
     try:
         with open(path) as fh:
-            pairs = [line.strip().split("=", 1) for line in fh
-                     if line.strip() and not line.strip().startswith("#")]
-        return [tok for key, val in pairs for tok in (f"--{key.strip()}", *val.split())]
+            lines = [line.strip() for line in fh]
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
+    tokens = []
+    for number, line in enumerate(lines, 1):
+        if line and not line.startswith("#"):
+            key, eq, val = line.partition("=")
+            if not (eq and key.strip()):
+                raise ValueError(f"config file {path}, line {number}: expected key=value, "
+                                 f"got {line!r}")
+            tokens += [f"--{key.strip()}", *val.split()]
+    return tokens
 
 
 def _parse(parser, argv):

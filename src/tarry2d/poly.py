@@ -89,10 +89,6 @@ class PolySpec:
         object.__setattr__(self, "coeffs", clean)
 
     @property
-    def N(self) -> int:
-        return monomial_count(self.n, self.m)
-
-    @property
     def indices(self) -> list[tuple[int, int]]:
         return monomial_indices(self.n, self.m)
 

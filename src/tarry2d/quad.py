@@ -192,7 +192,8 @@ def _kernel(rows: np.ndarray, xa, xb, wts) -> np.ndarray:
     """J of rows on one rule, in four rows x nodes work arrays of the pool: exp(2 pi i A)
     int_0^1 exp(2 pi i B y) dy = e^{2 pi i (A + B/2)} sin(pi B) / (pi B), with A + B/2 and
     r = B/2 reduced by rint and their cos and sin from _cos_sin (sin(pi B) = sin 2 pi r),
-    each within 4.5e-16 of the exact value; odd, so J(-F) = conj J(F) bitwise."""
+    each within 4.5e-16 of the exact value; odd, so J(-F) = conj J(F) bitwise.  The sinc is 1
+    where |pi B| < 1e-300, as 1 - (pi B)^2 / 6 rounds to 1: a quotient of subnormals is not."""
     half_b, phase, work, sq = _work((len(rows), wts.size), 4)
     np.matmul(rows, xb, out=half_b)
     np.add(np.matmul(rows, xa, out=phase), half_b, out=phase)
@@ -200,7 +201,7 @@ def _kernel(rows: np.ndarray, xa, xb, wts) -> np.ndarray:
     np.subtract(half_b, np.rint(half_b, out=work), out=work)
     _, sinc = _cos_sin(work, None, work, sq)
     pi_b = np.multiply(half_b, 2.0 * np.pi, out=half_b)
-    zero = pi_b == 0.0
+    zero = np.abs(pi_b, out=sq) < 1e-300
     pi_b[zero], sinc[zero] = 1.0, 1.0
     sinc /= pi_b
     cos, sin = _cos_sin(phase, half_b, phase, sq)  # pi B is spent: its array takes cos

@@ -34,7 +34,7 @@ class ThetaEstimate:
     value: float
     std_error: float
     n_samples: int
-    shells: list  # per shell: lo, hi, alloc (main samples), mean, std_error, ess of |J|^(2k)
+    shells: list  # per shell: lo, hi, alloc (its J values), mean, std_error, ess of |J|^(2k)
     seed: int
 
 
@@ -81,11 +81,11 @@ def _lattice(P: int, gamma: tuple) -> np.ndarray:
     return z
 
 
-def _lattice_size(alloc: int, faces: int) -> int:
-    """Largest prime P with _SHIFTS faces P <= alloc, or the least giving 64 rows if larger."""
+def _lattice_size(share: int, faces: int) -> int:
+    """Largest prime P with _SHIFTS faces P <= share, or the least giving 64 rows if larger."""
     unit = _SHIFTS * faces
     floor = max(2, -(-64 // unit))
-    candidates = itertools.chain(range(alloc // unit, floor - 1, -1), itertools.count(floor))
+    candidates = itertools.chain(range(share // unit, floor - 1, -1), itertools.count(floor))
     return next(p for p in candidates if all(p % d for d in range(2, math.isqrt(p) + 1)))
 
 
@@ -115,22 +115,22 @@ def theta_truncated(n: int, m: int, k: int, R: float, n_samples: int, seed: int,
                     tol: float = 1e-6, workers: int = 1) -> ThetaEstimate:
     """Stratified estimate of the box-truncated integral of |J|^(2k).
 
-    Shells get samples in proportion to shell volume times the square root
-    of a pilot second moment (about 1% of the budget, plain uniform points),
-    rounded by largest remainder.  Shell l then takes _SHIFTS random shifts
+    Shells get shares of the samples in proportion to shell volume times the
+    square root of a pilot second moment (about 1% of the budget, plain
+    uniform points), rounded down.  Shell l then takes _SHIFTS random shifts
     of a P-point rank-1 lattice rule (_lattice, weighted by the bound on
     |dJ/da| of each column), tent-transformed as in Dick, Nuyens &
     Pillichshammer (Numer. Math. 2014).  Both map points by _shell_rows, to
     one J row in the innermost shell and N elsewhere (the pilot keeps the
     first rows).  P is the largest prime whose _SHIFTS x rows x P J values
-    fit the allocation, or the least giving 64, to which the allocation is
-    then raised.  n_samples, the pilot plus the allocations, is the request
-    unless one was raised; prime gaps leave the J values a little below it.
-    A shell's mean and ESS are rng.summarize's of its values, its SE the
-    sample SD of its shift means over sqrt(_SHIFTS); value and std_error
-    weight them by the shell volumes in fixed order.  Each J is within tol,
-    which sizes its rule (see quad).  The box volume (2R)^N must be a finite
-    float.
+    fit the share, or the least giving 64.  A shell's alloc is its J values,
+    _SHIFTS x rows x P, and n_samples the pilot's plus the allocs: the J
+    values evaluated, which prime gaps leave a little below the request and
+    the 64-row floor can raise above it.  A shell's mean and ESS are
+    rng.summarize's of its values, its SE the sample SD of its shift means
+    over sqrt(_SHIFTS); value and std_error weight them by the shell volumes
+    in fixed order.  Each J is within tol, which sizes its rule (see quad).
+    The box volume (2R)^N must be a finite float.
 
     J is evaluated on all pilot rows in one call, then on the main rows in
     calls of at most _CALL_ROWS cut at shift boundaries; `workers` threads
@@ -160,18 +160,12 @@ def theta_truncated(n: int, m: int, k: int, R: float, n_samples: int, seed: int,
     w = vols * np.sqrt(pilot_m2)
     if w.sum() <= 0:
         w = vols.astype(float)
-    # largest remainder: a round-off move in w shifts a sample only between
-    # shells whose remainders nearly tie
-    share = main_budget * w / w.sum()
-    alloc = np.floor(share).astype(int)
-    short = main_budget - int(alloc.sum())
-    alloc[np.argsort(alloc - share, kind="stable")[:short]] += 1
+    share = np.floor(main_budget * w / w.sum())
 
     # main rule: _SHIFTS shifts of a P-point lattice per shell; a J call takes
     # pieces of whole shifts while they fit in _CALL_ROWS rows (a larger shift is cut)
-    sizes = [_lattice_size(int(c), f) for c, f in zip(alloc, faces)]
+    sizes = [_lattice_size(int(c), f) for c, f in zip(share, faces)]
     count = [f * P for f, P in zip(faces, sizes)]  # J rows of one shift
-    alloc = np.maximum(alloc, _SHIFTS * np.array(count))  # a floor of 64, or more
     pieces = [(l, s, min(s + step, _SHIFTS)) for l in range(len(shells))  # whole shifts
               for step in [max(1, _CALL_ROWS // count[l])] for s in range(0, _SHIFTS, step)]
     calls = [[]]
@@ -195,10 +189,10 @@ def theta_truncated(n: int, m: int, k: int, R: float, n_samples: int, seed: int,
     return ThetaEstimate(
         n=n, m=m, k=k, R=float(R), value=float(sum(v * s.mean for v, s in zip(vols, stats))),
         std_error=math.sqrt(float(sum((v * se) ** 2 for v, se in zip(vols, ses)))),
-        n_samples=int(alloc.sum()) + n_pilot_per * len(shells),
-        shells=[{"lo": float(a), "hi": float(b), "alloc": int(c), "mean": s.mean,
+        n_samples=_SHIFTS * sum(count) + n_pilot_per * len(shells),
+        shells=[{"lo": float(a), "hi": float(b), "alloc": _SHIFTS * c, "mean": s.mean,
                  "std_error": se, "ess": s.ess}
-                for (a, b), c, s, se in zip(shells, alloc, stats, ses)], seed=seed)
+                for (a, b), c, s, se in zip(shells, count, stats, ses)], seed=seed)
 
 
 @dataclass

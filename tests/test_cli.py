@@ -71,6 +71,16 @@ class TestIntegral:
         assert obj["value_re"] == pytest.approx(want.real, abs=1e-12)
         assert obj["value_im"] == pytest.approx(want.imag, abs=1e-12)
 
+    @pytest.mark.parametrize("a11", ["1e-320", "5e-323"])
+    def test_subnormal_linear_coefficient(self, capsys, tmp_path, a11):
+        # J(a11 x y) = 1 + O(a11): a subnormal B = a11 x takes sinc 1, not a quotient of subnormals
+        path = tmp_path / "phase.json"
+        path.write_text(f'{{"n": 1, "m": 1, "coeffs": [{{"i": 1, "j": 1, "value": {a11}}}]}}')
+        code, out = run_cli(capsys, "integral", str(path), "--tol", "1e-12")
+        assert code == 0
+        obj = json.loads(out)
+        assert abs(complex(obj["value_re"], obj["value_im"]) - 1.0) <= 1e-12
+
     def test_garbled_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -223,7 +233,10 @@ class TestFormatsAndOutput:
         code, out = run_cli(capsys, "theta", "1", "1", "1", "2", f"--config-file={cfgfile}")
         obj = json.loads(out)
         assert code == 0
-        assert (obj["run"]["samples"], obj["n_samples"], obj["seed"]) == (500, 500, 3)
+        assert (obj["run"]["samples"], obj["seed"]) == (500, 3)
+        code, flags = run_cli(capsys, "theta", "1", "1", "1", "2", "--samples", "500", "--seed", "3")
+        # past the run block, which records the config file, the bytes agree
+        assert code == 0 and flags[flags.index('\n  "n": '):] == out[out.index('\n  "n": '):]
 
     def test_key_value_flag_beats_config_file(self, capsys, tmp_path):
         cfgfile = tmp_path / "c.cfg"
@@ -252,6 +265,16 @@ class TestFormatsAndOutput:
         code, _ = run_cli(capsys, "theta", "1", "1", "1", "2.0",
                           "--config-file", str(tmp_path / "absent.cfg"))
         assert code == 2
+
+    @pytest.mark.parametrize("line", ["samples", "=3"])
+    def test_malformed_config_line(self, capsys, tmp_path, line):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"# defaults\n\nseed=3\n{line}\n")
+        code = cli.main(["theta", "1", "1", "1", "2", "--config-file", str(cfgfile)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"input error: config file {cfgfile}, line 4: "
+                                f"expected key=value, got {line!r}\n")
 
     def test_config_file_without_path(self, capsys):
         code = cli.main(["theta", "1", "1", "1", "2.0", "--config-file"])
@@ -376,13 +399,6 @@ class TestOtherCommands:
         assert code == 0
         assert obj["effective_sample_size"] == obj["n_accepted"] > 0
 
-    def test_theta_reports_requested_samples(self, capsys):
-        # largest-remainder allocation: no sample is lost to flooring
-        code, out = run_cli(capsys, "theta", "1", "1", "1", "2",
-                            "--samples", "1000")
-        assert code == 0
-        assert json.loads(out)["n_samples"] == 1000
-
     def test_boxes(self, capsys):
         code, out = run_cli(capsys, "boxes", "1", "1", "1", "--scales", "1", "2")
         assert code == 0
@@ -423,10 +439,12 @@ GOLDEN = [
     # rule per shell: every value, SE, alloc and n_samples moved; diagnose's
     # estimate at each radius is still theta's at that radius and seed.
     # Recaptured again when the pilot's draws went through _shell_rows: they
-    # moved the allocation, and with it every value, SE and alloc
+    # moved the allocation, and with it every value, SE and alloc.  Recaptured
+    # when alloc and n_samples came to count the J values evaluated: only they moved
     ("theta_1_1_1_2_samples_1000_seed_3.json",
      ["theta", "1", "1", "1", "2", "--samples", "1000", "--seed", "3"]),
-    # recaptured with the lattice rule, and with the pilot on _shell_rows, as above
+    # recaptured with the lattice rule, with the pilot on _shell_rows and with
+    # the J-value counts, as above: the last moved only alloc and n_samples
     ("diagnose_1_1_1_radii_2_4_8_samples_2000_seed_3.json",
      ["diagnose", "1", "1", "1", "--radii", "2", "4", "8", "--samples", "2000",
       "--seed", "3"]),

@@ -214,6 +214,28 @@ class TestThetaTruncated:
         assert sum(row["alloc"] for row in est.shells) + pilot == est.n_samples
         assert all(row["alloc"] >= 64 and 0 < row["ess"] <= row["alloc"] for row in est.shells)
 
+    @pytest.mark.parametrize("n, m, R, samples, J, raised", [
+        (1, 1, 8.0, 3000, "batch_osc_m1", False),  # four shells, prime gaps below the request
+        (2, 2, 1.5, 1000, "_batch_J", False),  # the tensor rule: (2, 2) skips batch_osc_m1
+        (1, 1, 8.0, 100, "batch_osc_m1", True),  # the 64-row floor raises the shares past it
+    ])
+    def test_n_samples_counts_the_J_values(self, monkeypatch, n, m, R, samples, J, raised):
+        rows, call = [], getattr(quad, J)
+
+        def record(*args, **kwargs):
+            rows.append(len(args[1 if J == "batch_osc_m1" else 2]))
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(quad, J, record)
+        est = theta_truncated(n, m, 1, R, samples, seed=4, tol=1e-3)
+        assert est.n_samples == sum(rows)
+        # each shell's alloc is its lattice rule's J values: shifts x rows a point x a prime P
+        faces = [1] + [monomial_count(n, m)] * (len(est.shells) - 1)
+        for f, row in zip(faces, est.shells):
+            P, rest = divmod(row["alloc"], _SHIFTS * f)
+            assert rest == 0 and P in PRIMES_BELOW_300
+        assert (est.n_samples > samples) == raised
+
     @pytest.mark.parametrize("R, samples", [(2.0, 500), (8.0, 2000)])
     def test_standard_error_coverage(self, R, samples):
         # theta(R) of (1,1,1) is the integral over gamma in [-R, R] of the
