@@ -266,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _read_config_file(path: str) -> list[str]:
-    """A key=value file's pairs as flag tokens, --key followed by the value's words."""
+def _read_config_file(path: str, options) -> list[str]:
+    """A key=value file's pairs as flag tokens, --key then the value's words; --key in options."""
     try:
         with open(path) as fh:
             lines = [line.strip() for line in fh]
@@ -276,11 +276,13 @@ def _read_config_file(path: str) -> list[str]:
     tokens = []
     for number, line in enumerate(lines, 1):
         if line and not line.startswith("#"):
-            key, eq, val = line.partition("=")
-            if not (eq and key.strip()):
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not (eq and key):
                 raise ValueError(f"config file {path}, line {number}: expected key=value, "
                                  f"got {line!r}")
-            tokens += [f"--{key.strip()}", *val.split()]
+            if f"--{key}" not in options:
+                raise ValueError(f"config file {path}, line {number}: unknown key {key!r}")
+            tokens += [f"--{key}", *val.split()]
     return tokens
 
 
@@ -294,7 +296,9 @@ def _parse(parser, argv):
     args = parser.parse_args(argv)
     if args.config_file is None:
         return args
-    from_file = _as_values(_read_config_file(args.config_file))
+    # the sub-command's option strings; argparse has no public accessor for them
+    options = parser._subparsers._group_actions[0].choices[args.command]._option_string_actions
+    from_file = _as_values(_read_config_file(args.config_file, options))
     return parser.parse_args(argv[:1] + from_file + [f"--config-file={args.config_file}"]
                              + argv[1:])
 

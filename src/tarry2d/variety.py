@@ -96,33 +96,34 @@ def jacobi_batch(x: np.ndarray, y: np.ndarray, n: int, m: int) -> np.ndarray:
 def gram_dets(x: np.ndarray, y: np.ndarray, n: int, m: int) -> np.ndarray:
     """Gram determinants det(D D^T) for a batch of point sets, shape (S,).
 
-    x, y as in jacobi_batch.  Signs square away, so this is also the Gram
-    determinant of the signed system.  A translation of a set changes D by a
-    unipotent row operation, which leaves det(D D^T) as it is, so each set is
-    first centred at its mean: its powers then lose fewer digits to
-    cancellation.  LU on G squares the condition number of D, so a set with
-    det G below 1e-8 times the Hadamard bound prod G_ii takes it from a QR
-    of D^T instead, as prod diag(R)^2.  Centring adds multiples of lower rows
-    to higher ones, which can bury a row far smaller than they are (a set
-    near the origin, spread over 1e-7 in x), so such a set takes the QR of
-    the centred or the raw D, whichever has the larger det over its own
-    Hadamard bound: rows closer to orthogonal lose fewer digits.  Round-off
-    negatives read 0.
+    x, y as in jacobi_batch; signs square away.  A translation changes D by
+    a unipotent row operation, so each set is first centred at its mean,
+    where its powers lose fewer digits.  G is positive semi-definite, so
+    LDL^T without pivoting is backward stable on it; it runs along the batch
+    axis.  G squares the condition number of D, so a set whose det G is not
+    at least 1e-8 times the Hadamard bound prod G_ii (a zero pivot's NaN is
+    not) takes it from a QR of the centred or the raw D^T, as prod diag(R)^2,
+    whichever has the larger det over its own bound: centring can bury a row
+    far smaller than those added to it (a set near the origin, 1e-7 wide in
+    x).  With fewer columns than rows G is singular and reads exactly 0.
     """
     D = jacobi_batch(x - x.mean(axis=0), y - y.mean(axis=0), n, m)
     N = D.shape[0]
-    G = np.empty((x.shape[1], N, N))
-    for a in range(N):
-        for b in range(a + 1):
-            G[:, a, b] = G[:, b, a] = np.einsum("cs,cs->s", D[a], D[b])
-    det = np.linalg.det(G)
-    bad = np.flatnonzero(det < 1e-8 * np.prod(np.diagonal(G, axis1=1, axis2=2), axis=1))
-    if bad.size and D.shape[1] >= N:  # with fewer columns than rows G is singular
-        (v, h), (v_raw, h_raw) = (_qr_det(d) for d in (D[:, :, bad],
-                                                       jacobi_batch(x[:, bad], y[:, bad], n, m)))
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 compares False
+    if D.shape[1] < N:
+        return np.zeros(x.shape[1])
+    G = np.einsum("acs,bcs->abs", D, D)  # (N, N, S): each entry contiguous over the sets
+    det, hadamard = G[0, 0].copy(), np.prod(np.diagonal(G), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot gives NaN, 0/0 below
+        for j in range(N - 1):  # in place: G[j + 1:, j + 1:] becomes the Schur complement
+            f = G[j + 1:, j] / G[j, j]
+            G[j + 1:, j + 1:] -= f[:, None] * G[j, j + 1:][None, :]
+            det *= G[j + 1, j + 1]
+        bad = np.flatnonzero(~(det >= 1e-8 * hadamard))
+        if bad.size:
+            (v, h), (v_raw, h_raw) = (
+                _qr_det(d) for d in (D[:, :, bad], jacobi_batch(x[:, bad], y[:, bad], n, m)))
             det[bad] = np.where(v_raw / h_raw > v / h, v_raw, v)
-    return np.maximum(det, 0.0)
+    return np.maximum(det, 0.0)  # round-off negatives read 0
 
 
 def _qr_det(D: np.ndarray):

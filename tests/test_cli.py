@@ -2,6 +2,7 @@ import json
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -276,6 +277,19 @@ class TestFormatsAndOutput:
         assert captured.err == (f"input error: config file {cfgfile}, line 4: "
                                 f"expected key=value, got {line!r}\n")
 
+    @pytest.mark.parametrize("line, key", [
+        ("sampels=5", "sampels"), ("--samples=5", "--samples"), ("radii=2 4", "radii"),
+    ])
+    def test_unknown_config_key(self, capsys, tmp_path, monkeypatch, line, key):
+        # the file's key is named, not the command line's R that its value would push out;
+        # radii is diagnose's option, not theta's
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text(f"{line}\n")
+        code = cli.main(["theta", "1", "1", "1", "2", "--config-file", "c.cfg"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"input error: config file c.cfg, line 1: unknown key {key!r}\n"
+
     def test_config_file_without_path(self, capsys):
         code = cli.main(["theta", "1", "1", "1", "2.0", "--config-file"])
         captured = capsys.readouterr()
@@ -477,13 +491,28 @@ class TestGoldenOutputs:
 
     # translation a, b, G0_shifted and abs_diff recaptured when the
     # translation came to draw from stream (seed, 5), and again when it moved
-    # to rng.uniform32; recaptured with the json encoder: only float text changed
+    # to rng.uniform32; recaptured with the json encoder: only float text changed;
+    # G0, G0_shifted, G0_scaled, expected and rel_diff recaptured, in the last
+    # bits, when gram_dets moved from np.linalg.det to LDL^T along the batch axis
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_gram(self, capsys, monkeypatch, workers):
         golden = (DATA / "gram_points_2_1_n_2_m_1_seed_3.json").read_text()
         monkeypatch.chdir(DATA)
         assert run_cli(capsys, "gram", "points_2_1.json", "--n", "2", "--m", "1",
                        "--seed", "3", "--workers", workers) == (0, golden)
+
+    def test_gram_golden_matches_mpmath(self):
+        # the golden G0 against det(A A^T) of the points at 50 digits
+        cfg = json.loads((DATA / "points_2_1.json").read_text())
+        golden = json.loads((DATA / "gram_points_2_1_n_2_m_1_seed_3.json").read_text())
+        with mpmath.workdps(50):
+            pts = [[mpmath.mpf(c) for c in p] for p in cfg["points"]]
+            A = mpmath.matrix([[c for e, (x, y) in zip((1, 1, -1, -1), pts)
+                                for c in (e * i * x ** (i - 1) * y**j if i else 0,
+                                          e * j * x**i * y ** (j - 1) if j else 0)]
+                               for i, j in ((0, 1), (1, 0), (1, 1), (2, 0), (2, 1))])
+            exact = mpmath.det(A * A.T)
+            assert abs(golden["G0"] - exact) <= 1e-13 * exact
 
     # value_re and value_im recaptured, by at most 4.6e-20, when every cos and sin
     # came to quad._cos_sin; recaptured with the json encoder: only float text changed

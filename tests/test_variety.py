@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import asdict
 
 import mpmath
@@ -26,6 +27,16 @@ from tarry2d.variety import (
 
 # coordinates of up to 3 + 3 points in the unit square
 COORDS = st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12)
+
+# two near-degenerate (2,1) sets of 2 + 2 points, as x0, y0, x1, y1, ...
+NEAR_DEGENERATE = [
+    # cond G = 1.3e24: LU on G = D D^T put G0 off by 1.4e-3 relative and the
+    # residual of the scaling law at 6.7e-41 against a slack of 4.9e-47
+    [0.0, 0.0, 1.7592873299784266e-07, 0.0, 0.0, 0.0, 0.0, 1.0],
+    # near the origin, 6e-8 wide in x: centring buried the x^2 y row under the
+    # x^2 one, det over Hadamard fell from 0.375 to 1e-14 and G0 was 4.9e-9 off
+    [5.960464477539063e-08, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.859375],
+]
 
 
 def random_config(rng, k, lo=0.0, hi=1.0):
@@ -168,14 +179,8 @@ class TestGram:
     @settings(max_examples=100, deadline=None)
     @given(nm=st.sampled_from([(1, 1), (2, 1)]), k=st.integers(2, 3), coords=COORDS,
            lam=st.floats(0.25, 4.0))
-    # a near-degenerate set, cond G = 1.3e24: LU on G = D D^T put G0 off by 1.4e-3
-    # relative and the residual at 6.7e-41 against a slack of 4.9e-47
-    @example(nm=(2, 1), k=2, coords=[0.0, 0.0, 1.7592873299784266e-07, 0.0, 0.0, 0.0, 0.0, 1.0]
-             + [0.0] * 4, lam=1.5)
-    # a set near the origin, 6e-8 wide in x: centring buried the x^2 y row under
-    # the x^2 one, det over Hadamard fell from 0.375 to 1e-14 and G0 was 4.9e-9 off
-    @example(nm=(2, 1), k=2, coords=[5.960464477539063e-08, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.859375]
-             + [0.0] * 4, lam=1.75)
+    @example(nm=(2, 1), k=2, coords=NEAR_DEGENERATE[0] + [0.0] * 4, lam=1.5)
+    @example(nm=(2, 1), k=2, coords=NEAR_DEGENERATE[1] + [0.0] * 4, lam=1.75)
     def test_scaling_law_property(self, nm, k, coords, lam):
         n, m = nm
         cfg = PointConfig(k, np.reshape(coords[: 4 * k], (2 * k, 2)))
@@ -202,13 +207,50 @@ class TestGram:
             g, gp = gram_dets(halves[:, :, 0].T, halves[:, :, 1].T, 1, 1)
             assert g0 >= g + gp - 1e-12 * max(g0, 1.0)
 
-    def test_rank_deficient_sets_read_near_zero(self):
+    def test_rank_deficient_sets_read_exactly_zero(self):
         # with fewer than N gradient columns G is singular, and a QR of D^T
         # would have too few diagonal entries to give its determinant
         rng = np.random.default_rng(13)
-        for n, m, points in ((2, 1, 2), (2, 2, 3)):
-            x, y = rng.random((points, 200)), rng.random((points, 200))
-            assert np.all(gram_dets(x, y, n, m) <= 1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for S in (1, 4700):
+                for n, m, points in ((2, 1, 2), (2, 2, 3), (3, 1, 3)):
+                    x, y = rng.random((points, S)), rng.random((points, S))
+                    assert np.array_equal(gram_dets(x, y, n, m), np.zeros(S))
+                # one point repeated: G = 0, whose zero pivot gives NaN and takes the QR
+                x, y = np.full((4, S), 0.3), np.full((4, S), 0.6)
+                assert np.array_equal(gram_dets(x, y, 2, 1), np.zeros(S))
+
+    @staticmethod
+    def _mp_det(x, y, n, m):
+        # det(D D^T) at 50 digits for the set as gram_dets centres it, and prod G_ii
+        x, y = x - x.mean(), y - y.mean()
+        with mpmath.workdps(50):
+            xs, ys = [mpmath.mpf(v) for v in x], [mpmath.mpf(v) for v in y]
+            D = mpmath.matrix([[c for a, b in zip(xs, ys)
+                                for c in (i * a ** (i - 1) * b**j if i else 0,
+                                          j * a**i * b ** (j - 1) if j else 0)]
+                               for i, j in monomial_indices(n, m)])
+            G = D * D.T
+            return mpmath.det(G), math.prod(G[r, r] for r in range(G.rows))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (2, 2)])
+    def test_matches_mpmath_within_hadamard_bound(self, n, m):
+        # random sets of 2 + 2 points and the near-degenerate ones, alone (S = 1)
+        # and at random places of a batch of 4700, as many as a sqrtG0 block accepts
+        rng = np.random.default_rng(17)
+        sets = [rng.random((4, 2)) for _ in range(20)]
+        sets += [np.reshape(c, (4, 2)) for c in NEAR_DEGENERATE]
+        x, y = rng.random((2, 4, 4700))
+        at = rng.choice(4700, len(sets), replace=False)
+        for s, pts in zip(at, sets):
+            x[:, s], y[:, s] = pts.T
+        batch = gram_dets(x, y, n, m)
+        for s, pts in zip(at, sets):
+            exact, hadamard = self._mp_det(pts[:, 0], pts[:, 1], n, m)
+            single = gram_dets(pts[:, :1], pts[:, 1:], n, m)[0]
+            for g in (single, batch[s]):
+                assert abs(g - exact) <= 1e-12 * hadamard
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(12)
@@ -217,7 +259,7 @@ class TestGram:
             pts = np.stack([c.points for c in cfgs], axis=-1)  # (point, coord, set)
             batch = gram_dets(pts[:, 0], pts[:, 1], n, m)
             single = [gram_G0(c, n, m) for c in cfgs]
-            assert batch == pytest.approx(single, rel=1e-12)
+            assert batch == pytest.approx(single, rel=1e-13)
 
 
 class TestEllipsoid:
